@@ -29,8 +29,9 @@ fn bench_implementations(c: &mut Criterion) {
 
     group.bench_function("cpu_scalar", |b| b.iter(|| cpu::run_scalar(&cb, &se)));
     group.bench_function("cpu_simd4", |b| b.iter(|| cpu::run_simd4(&cb, &se)));
-    group.bench_function("gpu_closure", |b| {
-        let amc = GpuAmc::new(se.clone(), KernelMode::Closure);
+    group.bench_function("gpu_isa_unfused", |b| {
+        let mut amc = GpuAmc::new(se.clone(), KernelMode::Isa);
+        amc.set_fusion(false);
         let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
         b.iter(|| amc.run(&mut gpu, &cb).unwrap())
     });

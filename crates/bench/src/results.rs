@@ -39,9 +39,8 @@
 //! assignment vs the chunks actually executed, steal counts, and modeled
 //! vs measured seconds. The modeled 2×7800GTX speedup over the single
 //! device anchors the ≥ 1.8× scaling gate CI enforces. The fleet arms run
-//! the closure kernel path — counters are identical to the ISA path by
-//! construction and the speedup is modeled, so the cheaper simulation
-//! changes nothing it reports.
+//! the same ISA pipeline as the headline, so their walls come from the
+//! same code path.
 
 use amc_core::fleet::DeviceFleet;
 use amc_core::graph::CompiledGraph;
@@ -812,10 +811,9 @@ pub fn run_benchmark_with_devices(seed: u64, extra_shape: Option<&[GpuProfile]>)
     let dims = scene.cube.dims();
 
     let config = AmcConfig::paper_default(classes.len());
-    // The ISA path is the benchmark's subject: it is what the verifier,
-    // the optimizer and the batched SoA executor run, and it populates the
-    // verify/lower cache counters the document reports. (The closure path
-    // used to be benchmarked here, which left those counters at zero.)
+    // The ISA path is the pipeline's only execution path: it is what the
+    // verifier, the optimizer and the batched SoA executor run, and it
+    // populates the verify/lower cache counters the document reports.
     let kernel_mode = KernelMode::Isa;
     let amc = GpuAmc::new(config.se.clone(), kernel_mode);
     let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
@@ -847,10 +845,9 @@ pub fn run_benchmark_with_devices(seed: u64, extra_shape: Option<&[GpuProfile]>)
         zero_fill_skips,
         &unfused_arm,
     );
-    // Fleet scaling arms on the closure path: counters match the ISA path
-    // by construction and the speedup gate is on modeled time.
-    let amc_fleet = GpuAmc::new(amc.se().clone(), KernelMode::Closure);
-    let fleet = fleet_report(&scene.cube, &amc_fleet, extra_shape);
+    // Fleet scaling arms on the headline's pipeline; the speedup gate is
+    // on modeled time.
+    let fleet = fleet_report(&scene.cube, &amc, extra_shape);
 
     let analysis = analysis_report(&trace::snapshot_events());
     if !was_tracing {
@@ -2200,7 +2197,7 @@ pub(crate) mod tests {
     #[test]
     fn opt_rollup_attributes_stage_counters_exactly() {
         // A physically consistent run: 2 chunks, 3 band groups (G=3), 5
-        // minmax passes per chunk, 100 fragments per pass, closure arms
+        // minmax passes per chunk, 100 fragments per pass, unfused arms
         // counting the optimized per-fragment costs.
         let mut run = sample_run();
         run.chunks = 2;

@@ -55,8 +55,10 @@
 //! Every fused program is rebuilt by the exact-preserving `opt` framework
 //! (CSE, per-lane DCE, temp compaction) and statically re-verified against
 //! the device profile, so the fused graph renders bit-identically to the
-//! unfused one — which stays available behind `GPU_SIM_FUSE=0` as the
-//! oracle.
+//! unfused one. The compiled graph is the pipeline's only chunk executor;
+//! its unfused schedule (`GPU_SIM_FUSE=0`, or
+//! [`crate::pipeline::GpuAmc::set_fusion`]) is the oracle the fused one is
+//! tested against.
 
 use gpu_sim::counters::PassStats;
 use gpu_sim::device::GpuProfile;

@@ -8,7 +8,7 @@
 //!   RGBA textures, four consecutive bands per texel.
 //! * [`kernels`] — the fragment programs of every pipeline stage
 //!   (normalization, cumulative distance, min/max, SID), in fp30-style
-//!   assembly, with closure twins used as the fast execution path.
+//!   assembly.
 //! * [`pipeline`] — Fig. 4: the six-stage stream pipeline (upload →
 //!   normalize → cumulative distance → max/min → SID → download), with
 //!   chunking for cubes that exceed video memory.

@@ -4,15 +4,14 @@
 //! in *streams* (ordered sets backed by textures), computation in *kernels*
 //! (fragment programs mapped over whole streams) with no ordering guarantees
 //! between output elements. This module is that abstraction: [`Stream`]
-//! wraps a texture, [`map`]/[`map_closure`] apply a kernel, and
-//! [`reduce_sum`] shows the classic log-step GPGPU reduction.
+//! wraps a texture and [`map`] applies an assembled kernel to whole
+//! streams.
 
 use crate::counters::PassStats;
 use crate::error::Result;
-use crate::gpu::{Fetcher, Gpu, TextureId};
+use crate::gpu::{Gpu, TextureId};
 use crate::isa::Program;
-use crate::raster::{Quad, TexCoordSet};
-use crate::texture::Texel;
+use crate::raster::TexCoordSet;
 
 /// A 2D stream of float4 elements, resident on the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,137 +77,6 @@ pub fn map(
     gpu.run_pass(kernel, &ids, constants, coords, output.id, None)
 }
 
-/// Apply a closure kernel to input streams (fast path; see
-/// [`Gpu::run_closure_pass`]).
-pub fn map_closure<F>(
-    gpu: &mut Gpu,
-    inputs: &[&Stream],
-    output: &Stream,
-    instr_per_fragment: u64,
-    kernel: F,
-) -> Result<PassStats>
-where
-    F: Fn(&Fetcher<'_>, usize, usize) -> Texel + Sync,
-{
-    let ids: Vec<TextureId> = inputs.iter().map(|s| s.id).collect();
-    gpu.run_closure_pass(&ids, output.id, instr_per_fragment, None, kernel)
-}
-
-/// Sum-reduce a stream to a single float4 with log-step halving passes —
-/// each pass folds a 2x2 block into one element, the canonical GPGPU
-/// reduction pattern.
-///
-/// Returns the reduced value and the accumulated pass statistics.
-pub fn reduce_sum(gpu: &mut Gpu, input: &Stream) -> Result<([f32; 4], PassStats)> {
-    let mut stats = PassStats::default();
-    let mut cur = *input;
-    let mut owned: Option<Stream> = None; // intermediate to free
-    while cur.width > 1 || cur.height > 1 {
-        let nw = cur.width.div_ceil(2);
-        let nh = cur.height.div_ceil(2);
-        let next = Stream::create(gpu, nw, nh)?;
-        let (cw, ch) = (cur.width, cur.height);
-        let pass = gpu.run_closure_pass(&[cur.id], next.id, 4, Some(Quad::full(nw, nh)), {
-            move |f, x, y| {
-                let mut acc = [0.0f32; 4];
-                for dy in 0..2usize {
-                    for dx in 0..2usize {
-                        let sx = 2 * x + dx;
-                        let sy = 2 * y + dy;
-                        if sx < cw && sy < ch {
-                            let t = f.fetch(0, sx as i64, sy as i64);
-                            for (a, v) in acc.iter_mut().zip(t) {
-                                *a += v;
-                            }
-                        }
-                    }
-                }
-                acc
-            }
-        })?;
-        stats.add(&pass);
-        if let Some(s) = owned.take() {
-            s.free(gpu)?;
-        }
-        owned = Some(next);
-        cur = next;
-    }
-    let flat = cur.read(&mut *gpu)?;
-    let result = [flat[0], flat[1], flat[2], flat[3]];
-    if let Some(s) = owned {
-        s.free(gpu)?;
-    }
-    Ok((result, stats))
-}
-
-/// Max-reduce a stream to a single float4 with the same log-step pattern as
-/// [`reduce_sum`].
-pub fn reduce_max(gpu: &mut Gpu, input: &Stream) -> Result<([f32; 4], PassStats)> {
-    let mut stats = PassStats::default();
-    let mut cur = *input;
-    let mut owned: Option<Stream> = None;
-    while cur.width > 1 || cur.height > 1 {
-        let nw = cur.width.div_ceil(2);
-        let nh = cur.height.div_ceil(2);
-        let next = Stream::create(gpu, nw, nh)?;
-        let (cw, ch) = (cur.width, cur.height);
-        let pass = gpu.run_closure_pass(&[cur.id], next.id, 4, Some(Quad::full(nw, nh)), {
-            move |f, x, y| {
-                let mut acc = [f32::NEG_INFINITY; 4];
-                for dy in 0..2usize {
-                    for dx in 0..2usize {
-                        let sx = 2 * x + dx;
-                        let sy = 2 * y + dy;
-                        if sx < cw && sy < ch {
-                            let t = f.fetch(0, sx as i64, sy as i64);
-                            for (a, v) in acc.iter_mut().zip(t) {
-                                *a = a.max(v);
-                            }
-                        }
-                    }
-                }
-                acc
-            }
-        })?;
-        stats.add(&pass);
-        if let Some(s) = owned.take() {
-            s.free(gpu)?;
-        }
-        owned = Some(next);
-        cur = next;
-    }
-    let flat = cur.read(&mut *gpu)?;
-    let result = [flat[0], flat[1], flat[2], flat[3]];
-    if let Some(s) = owned {
-        s.free(gpu)?;
-    }
-    Ok((result, stats))
-}
-
-/// Gather: `output[i] = input[indices[i]]` — the dependent-read primitive of
-/// the stream model (the MEI stage's index-driven fetches in kernel form).
-///
-/// `indices` holds flat element indices into `input` in its `.x` component.
-pub fn gather(
-    gpu: &mut Gpu,
-    input: &Stream,
-    indices: &Stream,
-    output: &Stream,
-) -> Result<PassStats> {
-    let (iw, ih) = (input.width as i64, input.height as i64);
-    gpu.run_closure_pass(
-        &[input.id, indices.id],
-        output.id,
-        3,
-        None,
-        move |f, x, y| {
-            // Out-of-range indices clamp to the valid element range.
-            let idx = (f.fetch(1, x as i64, y as i64)[0].max(0.0) as i64).min(iw * ih - 1);
-            f.fetch(0, idx % iw, idx / iw)
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,91 +121,5 @@ mod tests {
         for (g, d) in got.iter().zip(&data) {
             assert!((g - d * 3.0).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn map_closure_matches_map() {
-        let mut gpu = gpu();
-        let data: Vec<f32> = (0..8 * 8 * 4).map(|i| (i as f32).sin()).collect();
-        let a = Stream::upload(&mut gpu, 8, 8, &data).unwrap();
-        let o1 = Stream::create(&mut gpu, 8, 8).unwrap();
-        let o2 = Stream::create(&mut gpu, 8, 8).unwrap();
-        let sq = assemble("TEX R0, T0, tex0\nMUL OC, R0, R0").unwrap();
-        map(&mut gpu, &sq, &[&a], &[], None, &o1).unwrap();
-        map_closure(&mut gpu, &[&a], &o2, 2, |f, x, y| {
-            let t = f.fetch(0, x as i64, y as i64);
-            [t[0] * t[0], t[1] * t[1], t[2] * t[2], t[3] * t[3]]
-        })
-        .unwrap();
-        assert_eq!(o1.read(&mut gpu).unwrap(), o2.read(&mut gpu).unwrap());
-    }
-
-    #[test]
-    fn reduce_sum_totals_all_elements() {
-        let mut gpu = gpu();
-        // 5x3 stream (odd sizes exercise the ceil-halving path).
-        let mut data = Vec::new();
-        for i in 0..15 {
-            data.extend_from_slice(&[i as f32, 1.0, 0.5, 2.0]);
-        }
-        let s = Stream::upload(&mut gpu, 5, 3, &data).unwrap();
-        let before = gpu.allocated_bytes();
-        let (sum, stats) = reduce_sum(&mut gpu, &s).unwrap();
-        assert_eq!(sum[0], (0..15).sum::<i32>() as f32);
-        assert_eq!(sum[1], 15.0);
-        assert_eq!(sum[2], 7.5);
-        assert_eq!(sum[3], 30.0);
-        assert!(stats.passes >= 3); // log-step halving
-                                    // Intermediates were freed.
-        assert_eq!(gpu.allocated_bytes(), before);
-    }
-
-    #[test]
-    fn reduce_max_finds_componentwise_maxima() {
-        let mut gpu = gpu();
-        let mut data = Vec::new();
-        for i in 0..12 {
-            data.extend_from_slice(&[i as f32, -(i as f32), (i % 5) as f32, 1.0]);
-        }
-        let s = Stream::upload(&mut gpu, 4, 3, &data).unwrap();
-        let (m, stats) = reduce_max(&mut gpu, &s).unwrap();
-        assert_eq!(m[0], 11.0);
-        assert_eq!(m[1], 0.0);
-        assert_eq!(m[2], 4.0);
-        assert_eq!(m[3], 1.0);
-        assert!(stats.passes >= 2);
-    }
-
-    #[test]
-    fn gather_permutes_elements() {
-        let mut gpu = gpu();
-        let data: Vec<f32> = (0..6).flat_map(|i| [i as f32, 0.0, 0.0, 0.0]).collect();
-        let input = Stream::upload(&mut gpu, 3, 2, &data).unwrap();
-        // Reverse permutation in index stream.
-        let idx: Vec<f32> = (0..6)
-            .rev()
-            .flat_map(|i| [i as f32, 0.0, 0.0, 0.0])
-            .collect();
-        let indices = Stream::upload(&mut gpu, 3, 2, &idx).unwrap();
-        let output = Stream::create(&mut gpu, 3, 2).unwrap();
-        gather(&mut gpu, &input, &indices, &output).unwrap();
-        let out = output.read(&mut gpu).unwrap();
-        let xs: Vec<f32> = out.chunks_exact(4).map(|t| t[0]).collect();
-        assert_eq!(xs, vec![5.0, 4.0, 3.0, 2.0, 1.0, 0.0]);
-        // Out-of-range indices clamp instead of crashing.
-        let idx_bad: Vec<f32> = [99.0, 0.0, 0.0, 0.0].repeat(6);
-        gpu.upload(indices.id, &idx_bad).unwrap();
-        gather(&mut gpu, &input, &indices, &output).unwrap();
-        let out = output.read(&mut gpu).unwrap();
-        assert_eq!(out[0], 5.0); // clamped to the last element
-    }
-
-    #[test]
-    fn reduce_sum_of_single_element_is_identity() {
-        let mut gpu = gpu();
-        let s = Stream::upload(&mut gpu, 1, 1, &[4.0, 3.0, 2.0, 1.0]).unwrap();
-        let (sum, stats) = reduce_sum(&mut gpu, &s).unwrap();
-        assert_eq!(sum, [4.0, 3.0, 2.0, 1.0]);
-        assert_eq!(stats.passes, 0);
     }
 }

@@ -8,6 +8,13 @@ use hyperspec::gpu::device::Compiler;
 use hyperspec::gpu::timing;
 use hyperspec::prelude::*;
 
+/// The analytic model counts the unfused schedule, one pass per kernel.
+fn unfused(se: &StructuringElement) -> GpuAmc {
+    let mut amc = GpuAmc::new(se.clone(), KernelMode::Isa);
+    amc.set_fusion(false);
+    amc
+}
+
 fn cube(w: usize, h: usize, bands: usize) -> Cube {
     Cube::from_fn(CubeDims::new(w, h, bands), Interleave::Bip, |x, y, b| {
         1.0 + ((x * 7 + y * 13 + b * 3) % 31) as f32
@@ -21,9 +28,7 @@ fn analytic_counts_match_execution_for_multiple_shapes() {
         let c = cube(w, h, bands);
         let se = StructuringElement::square(3).unwrap();
         let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
-        let out = GpuAmc::new(se.clone(), KernelMode::Closure)
-            .run_chunk(&mut gpu, &c)
-            .unwrap();
+        let out = unfused(&se).run_chunk(&mut gpu, &c).unwrap();
         let pred = perf::predict_chunk_stats(w, h, bands, &se, &PredictConfig::default());
         assert_eq!(pred.passes, out.stats.passes, "{w}x{h}x{bands} passes");
         assert_eq!(pred.fragments, out.stats.fragments);
@@ -40,9 +45,7 @@ fn analytic_counts_match_execution_for_5x5_se() {
     let c = cube(14, 14, 6);
     let se = StructuringElement::square(5).unwrap();
     let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
-    let out = GpuAmc::new(se.clone(), KernelMode::Closure)
-        .run_chunk(&mut gpu, &c)
-        .unwrap();
+    let out = unfused(&se).run_chunk(&mut gpu, &c).unwrap();
     let pred = perf::predict_chunk_stats(14, 14, 6, &se, &PredictConfig::default());
     assert_eq!(pred.instructions, out.stats.instructions);
     assert_eq!(pred.texel_fetches, out.stats.texel_fetches);
@@ -55,7 +58,7 @@ fn chunked_prediction_matches_chunked_execution() {
     let chunking = Chunking::new(6, 2);
     let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
     let mut total = hyperspec::gpu::counters::PassStats::default();
-    let amc = GpuAmc::new(se.clone(), KernelMode::Closure);
+    let amc = unfused(&se);
     for chunk in c.chunks(chunking) {
         total.add(&amc.run_chunk(&mut gpu, &chunk.cube).unwrap().stats);
     }
@@ -119,7 +122,7 @@ fn cache_ablation_shifts_modeled_memory_time() {
     // unchanged.
     let c = cube(16, 16, 8);
     let se = StructuringElement::square(3).unwrap();
-    let amc = GpuAmc::new(se, KernelMode::Closure);
+    let amc = GpuAmc::new(se, KernelMode::Isa);
     let mut with = Gpu::new(GpuProfile::fx5950_ultra());
     let out_with = amc.run_chunk(&mut with, &c).unwrap();
     let mut without = Gpu::new(GpuProfile::fx5950_ultra());
