@@ -25,22 +25,26 @@
 //!   with the bus model charging contention when devices share the host
 //!   link ([`gpu_sim::bus::BusModel::contended`]).
 //!
-//! **Determinism.** Each device owns its texture pool, verify/lowering
-//! caches and compiled-graph cache (a fresh [`GpuAmc`] clone per device —
-//! graphs are keyed per profile), and shading arithmetic is
-//! profile-independent in the simulator, so a chunk produces bit-identical
-//! texels and [`PassStats`] on every device. Chunk outputs are merged into
-//! the global image and the stage counters are folded **in chunk index
-//! order** after all devices join — never in completion order — so labels,
-//! renders and stats are bit-identical at every fleet shape × thread
-//! count, extending the tile-order (thread-count) guarantee to device
-//! count.
+//! **Compile once.** The fleet owns its [`Gpu`]s for its whole life, so
+//! each device's verify, optimizer and lowering caches fill on the first
+//! run and hit on every later one; its texture pool is drained at the end
+//! of each run. Device threads shade through the caller's one [`GpuAmc`],
+//! whose compiled-graph cache is shared and keyed by (profile, chunk
+//! geometry): devices of one profile compile each geometry once between
+//! them, and a repeat run compiles nothing.
+//!
+//! **Determinism.** A cached graph or lowering is a pure function of its
+//! key, and shading arithmetic is profile-independent in the simulator,
+//! so a chunk produces bit-identical texels and [`PassStats`] on every
+//! device, cold or warm. Chunk outputs are merged into the global image
+//! and the stage counters are folded **in chunk index order** after all
+//! devices join — never in completion order — so labels, renders and
+//! stats are bit-identical at every fleet shape × thread count × run,
+//! extending the tile-order (thread-count) guarantee to device count.
 
 use crate::layout;
 use crate::perf::{self, PredictConfig};
-use crate::pipeline::{
-    ChunkScratch, GpuAmc, KernelMode, PipelineOutput, Result, StageStats, StageWall,
-};
+use crate::pipeline::{ChunkScratch, GpuAmc, PipelineOutput, Result, StageStats, StageWall};
 use gpu_sim::device::GpuProfile;
 use gpu_sim::gpu::Gpu;
 use hsi::cube::{Chunk, Chunking, Cube};
@@ -196,19 +200,32 @@ impl Dispatch {
     }
 }
 
-/// A fleet of simulated GPUs sharing one host link.
-#[derive(Debug, Clone)]
+/// A fleet of simulated GPUs sharing one host link. The fleet owns its
+/// devices, so their compile caches persist from one run to the next.
 pub struct DeviceFleet {
     profiles: Vec<GpuProfile>,
+    devices: Vec<Gpu>,
     config: FleetConfig,
 }
 
+impl std::fmt::Debug for DeviceFleet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DeviceFleet")
+            .field("profiles", &self.profiles)
+            .field("config", &self.config)
+            .finish_non_exhaustive()
+    }
+}
+
 impl DeviceFleet {
-    /// Build a fleet from device profiles (at least one).
+    /// Build a fleet from device profiles (at least one): one [`Gpu`] per
+    /// profile, kept for every run.
     pub fn new(profiles: Vec<GpuProfile>) -> Self {
         assert!(!profiles.is_empty(), "a fleet needs at least one device");
+        let devices = profiles.iter().cloned().map(Gpu::new).collect();
         Self {
             profiles,
+            devices,
             config: FleetConfig::default(),
         }
     }
@@ -306,14 +323,14 @@ impl DeviceFleet {
     }
 
     /// Run the full pipeline over a cube across the fleet.
-    pub fn run(&self, amc: &GpuAmc, cube: &Cube) -> Result<FleetOutput> {
+    pub fn run(&mut self, amc: &GpuAmc, cube: &Cube) -> Result<FleetOutput> {
         let chunking = self.plan_chunking(amc, cube)?;
         self.run_with_chunking(amc, cube, chunking)
     }
 
     /// Run with an explicit (fleet-shape-independent) chunking.
     pub fn run_with_chunking(
-        &self,
+        &mut self,
         amc: &GpuAmc,
         cube: &Cube,
         chunking: Chunking,
@@ -334,10 +351,12 @@ impl DeviceFleet {
             ],
         );
 
-        // Device threads run outside the worker pool: split the advertised
-        // width across them so the fleet never runs more shading threads
-        // than a single-device run would. The override is thread-local, so
-        // each device thread re-establishes its share.
+        // Device threads run outside the worker pool: each gets an equal
+        // share of the advertised width, at least one. With more devices
+        // than the cap (say 2 devices at a cap of 1) the fleet therefore
+        // shades on more threads than a single-device run would. The
+        // override is thread-local, so each device thread re-establishes
+        // its share.
         let total_threads = rayon::max_threads();
         let per_device_threads = (total_threads / n_dev).max(1);
 
@@ -351,17 +370,14 @@ impl DeviceFleet {
         let fleet_start = Instant::now();
         let runs: Vec<Result<DeviceRun>> = std::thread::scope(|s| {
             let handles: Vec<_> = self
-                .profiles
-                .iter()
+                .devices
+                .iter_mut()
                 .enumerate()
-                .map(|(me, profile)| {
-                    let profile = profile.clone();
-                    let se = amc.se().clone();
-                    let fuse = amc.fusion();
+                .map(|(me, gpu)| {
                     let (chunks, cost, dispatch) = (&chunks, &cost, &dispatch);
                     s.spawn(move || {
                         rayon::with_threads(per_device_threads, || {
-                            run_device(me, profile, se, fuse, chunks, cost, dispatch)
+                            run_device(me, gpu, amc, chunks, cost, dispatch)
                         })
                     })
                 })
@@ -461,12 +477,12 @@ impl DeviceFleet {
 
 /// One device's dispatch loop: pop (or steal) chunks until the fleet
 /// drains, shading each on this device while a reserved worker packs the
-/// next chunk at the head of the own queue.
+/// next chunk at the head of the own queue. The pool is drained when the
+/// loop ends, whether or not a chunk failed.
 fn run_device(
     me: usize,
-    profile: GpuProfile,
-    se: hsi::morphology::StructuringElement,
-    fuse: bool,
+    gpu: &mut Gpu,
+    amc: &GpuAmc,
     chunks: &[Chunk],
     cost: &[Vec<f64>],
     dispatch: &Mutex<Dispatch>,
@@ -475,11 +491,22 @@ fn run_device(
         // One Perfetto row per device: upload/stage/pass spans emitted
         // while this thread shades land on it, so overlap across devices
         // is visible at a glance.
-        trace::set_thread_name(&format!("device{me}.{}", profile.short_name()));
+        trace::set_thread_name(&format!("device{me}.{}", gpu.profile().short_name()));
     }
-    let mut driver = GpuAmc::new(se, KernelMode::Isa);
-    driver.set_fusion(fuse);
-    let mut gpu = Gpu::new(profile);
+    let run = dispatch_loop(me, gpu, amc, chunks, cost, dispatch);
+    gpu.drain_pool();
+    run
+}
+
+/// The body of [`run_device`].
+fn dispatch_loop(
+    me: usize,
+    gpu: &mut Gpu,
+    amc: &GpuAmc,
+    chunks: &[Chunk],
+    cost: &[Vec<f64>],
+    dispatch: &Mutex<Dispatch>,
+) -> Result<DeviceRun> {
     let mut scratch = ChunkScratch::default();
     let mut results = Vec::new();
     let mut executed = Vec::new();
@@ -540,14 +567,8 @@ fn run_device(
             });
             // The packer owns one of this device's workers while it runs.
             let _packer_core = packer.as_ref().map(|_| rayon::reserve_thread());
-            let result = driver.run_chunk_packed(
-                &mut gpu,
-                cd.width,
-                cd.height,
-                cd.bands,
-                &packed,
-                &mut scratch,
-            );
+            let result =
+                amc.run_chunk_packed(gpu, cd.width, cd.height, cd.bands, &packed, &mut scratch);
             let next_bufs = packer.map(|h| h.join().expect("packer thread panicked"));
             (result, next_bufs)
         });
@@ -563,7 +584,6 @@ fn run_device(
         trace::metrics::observe("fleet.chunk_wall", chunk_start.elapsed());
         drop(chunk_span);
     }
-    gpu.drain_pool();
     Ok(DeviceRun {
         results,
         executed,
@@ -581,6 +601,7 @@ fn mei_bits(m: &MeiImage) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::KernelMode;
     use hsi::cube::{Cube, CubeDims, Interleave};
     use hsi::morphology::StructuringElement;
     use proptest::prelude::*;
@@ -602,6 +623,15 @@ mod tests {
             vec![g70(), g70()],
             vec![fx(), g70(), g70(), fx()],
         ]
+    }
+
+    fn assert_same_pipeline(a: &PipelineOutput, b: &PipelineOutput, label: &str) {
+        assert_eq!(mei_bits(&a.mei), mei_bits(&b.mei), "MEI diverged: {label}");
+        assert_eq!(a.min_index, b.min_index, "{label}");
+        assert_eq!(a.max_index, b.max_index, "{label}");
+        assert_eq!(a.stages, b.stages, "{label}");
+        assert_eq!(a.stats, b.stats, "{label}");
+        assert_eq!(a.chunks, b.chunks, "{label}");
     }
 
     #[test]
@@ -673,21 +703,12 @@ mod tests {
         assert!(!cube.dims().height.is_multiple_of(chunking.lines_per_chunk));
         for shape in fleet_shapes() {
             for threads in [1, rayon::max_threads().max(2)] {
-                let fleet = DeviceFleet::new(shape.clone());
+                let mut fleet = DeviceFleet::new(shape.clone());
                 let out = rayon::with_threads(threads, || {
                     fleet.run_with_chunking(&amc, &cube, chunking).unwrap()
                 });
                 let label = format!("shape {shape:?} threads {threads}");
-                assert_eq!(
-                    mei_bits(&out.pipeline.mei),
-                    mei_bits(&reference.mei),
-                    "MEI diverged: {label}"
-                );
-                assert_eq!(out.pipeline.min_index, reference.min_index, "{label}");
-                assert_eq!(out.pipeline.max_index, reference.max_index, "{label}");
-                assert_eq!(out.pipeline.stages, reference.stages, "{label}");
-                assert_eq!(out.pipeline.stats, reference.stats, "{label}");
-                assert_eq!(out.pipeline.chunks, reference.chunks, "{label}");
+                assert_same_pipeline(&out.pipeline, &reference, &label);
                 // Accounting invariants: every chunk executed exactly once.
                 let mut all: Vec<usize> = out
                     .devices
@@ -705,6 +726,76 @@ mod tests {
         }
     }
 
+    /// Per-device compile counters: (verifications, lowerings, optimizer
+    /// runs).
+    fn compile_counts(fleet: &DeviceFleet) -> Vec<(u64, u64, u64)> {
+        fleet
+            .devices
+            .iter()
+            .map(|g| (g.verifications(), g.lowerings(), g.opt_runs()))
+            .collect()
+    }
+
+    /// Run until every device has shaded at least one chunk: a device whose
+    /// whole queue was stolen before its thread started has compiled
+    /// nothing yet. Returns the first run's output.
+    fn run_cold(fleet: &mut DeviceFleet, amc: &GpuAmc, cube: &Cube, c: Chunking) -> FleetOutput {
+        let first = fleet.run_with_chunking(amc, cube, c).unwrap();
+        let mut idle: Vec<bool> = first
+            .devices
+            .iter()
+            .map(|d| d.executed.is_empty())
+            .collect();
+        while idle.iter().any(|&i| i) {
+            let out = fleet.run_with_chunking(amc, cube, c).unwrap();
+            for (i, d) in idle.iter_mut().zip(&out.devices) {
+                *i &= d.executed.is_empty();
+            }
+        }
+        first
+    }
+
+    #[test]
+    fn a_reused_fleet_is_bit_identical_and_compiles_nothing_warm() {
+        // The fleet keeps its devices: a warm run reproduces the cold run
+        // bit for bit without a single verification, lowering or optimizer
+        // run, a cube of another geometry in between changes nothing, and
+        // every run leaves the devices with no texture allocated or pooled.
+        let cube = test_cube(48, 40, 10);
+        let other = test_cube(30, 26, 7);
+        let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Isa);
+        let chunking = Chunking::new(6, 1);
+        let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
+        let other_reference = amc.run_with_chunking(&mut gpu, &other, chunking).unwrap();
+        for shape in fleet_shapes() {
+            let mut fleet = DeviceFleet::new(shape.clone());
+            let cold = run_cold(&mut fleet, &amc, &cube, chunking);
+            let warmed = compile_counts(&fleet);
+            // The runs shaded on the fleet's own devices.
+            assert!(warmed.iter().all(|&(v, l, _)| v > 0 && l > 0), "{shape:?}");
+            let warm = fleet.run_with_chunking(&amc, &cube, chunking).unwrap();
+            assert_eq!(
+                compile_counts(&fleet),
+                warmed,
+                "warm run compiled: {shape:?}"
+            );
+            assert_same_pipeline(&warm.pipeline, &cold.pipeline, &format!("warm {shape:?}"));
+            let between = fleet.run_with_chunking(&amc, &other, chunking).unwrap();
+            assert_same_pipeline(
+                &between.pipeline,
+                &other_reference,
+                &format!("other geometry {shape:?}"),
+            );
+            let warmed = compile_counts(&fleet);
+            let again = fleet.run_with_chunking(&amc, &cube, chunking).unwrap();
+            assert_eq!(compile_counts(&fleet), warmed, "rerun compiled: {shape:?}");
+            assert_same_pipeline(&again.pipeline, &cold.pipeline, &format!("rerun {shape:?}"));
+            for g in &fleet.devices {
+                assert_eq!((g.allocated_bytes(), g.pooled_bytes()), (0, 0), "{shape:?}");
+            }
+        }
+    }
+
     #[test]
     fn work_stealing_rebalances_a_skewed_placement() {
         // Force all chunks onto device 0's queue; device 1 must steal to
@@ -713,7 +804,7 @@ mod tests {
         let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Isa);
         let chunking = Chunking::new(4, 1);
         let chunks: Vec<Chunk> = cube.chunks(chunking).collect();
-        let fleet = DeviceFleet::new(vec![
+        let mut fleet = DeviceFleet::new(vec![
             GpuProfile::geforce_7800gtx(),
             GpuProfile::geforce_7800gtx(),
         ]);
@@ -782,7 +873,7 @@ mod tests {
             let reference = amc.run_with_chunking(&mut gpu, &cube, chunking).unwrap();
             for shape in fleet_shapes() {
                 for threads in [1, rayon::max_threads().max(2)] {
-                    let fleet = DeviceFleet::new(shape.clone());
+                    let mut fleet = DeviceFleet::new(shape.clone());
                     let out = rayon::with_threads(threads, || {
                         fleet.run_with_chunking(&amc, &cube, chunking).unwrap()
                     });

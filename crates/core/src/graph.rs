@@ -865,6 +865,9 @@ impl CompiledGraph {
     /// ownership). Transients are drawn from / returned to the texture
     /// pool around their live range; [`TexKind::Output`] textures are
     /// returned for the caller to download and release.
+    ///
+    /// On error every texture the graph acquired is back in the pool, so
+    /// a failed graph leaves only the caller's imports allocated.
     pub fn execute(
         &self,
         gpu: &mut Gpu,
@@ -892,6 +895,29 @@ impl CompiledGraph {
                 });
             }
         }
+        let result = self.run_passes(gpu, &mut ids);
+        if result.is_err() {
+            for (t, id) in self.textures.iter().zip(ids) {
+                if matches!(t.kind, TexKind::Imported) {
+                    continue;
+                }
+                if let Some(id) = id {
+                    // Every id left in `ids` is live, so the release cannot
+                    // fail.
+                    let _ = gpu.release_pooled(id);
+                }
+            }
+        }
+        result
+    }
+
+    /// The pass loop of [`Self::execute`]: `ids` holds the device texture
+    /// of every live logical texture, and still does when a pass fails.
+    fn run_passes(
+        &self,
+        gpu: &mut Gpu,
+        ids: &mut [Option<TextureId>],
+    ) -> Result<ExecReport, GpuError> {
         let mut stages: Vec<StageRun> = Vec::new();
         let mut p = 0;
         while p < self.passes.len() {
@@ -904,7 +930,7 @@ impl CompiledGraph {
             let start = Instant::now();
             let mut stats = PassStats::new();
             for i in p..end {
-                stats.add(&self.run_pass(gpu, i, &mut ids)?);
+                stats.add(&self.run_pass(gpu, i, ids)?);
             }
             stages.push(StageRun {
                 name: stage,

@@ -33,10 +33,9 @@ use gpu_sim::opt;
 use gpu_sim::raster::TexCoordSet;
 use hsi::cube::{Chunking, Cube};
 use hsi::morphology::{MeiImage, StructuringElement};
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use trace::ArgValue;
 
@@ -340,15 +339,24 @@ struct AmcGraph {
 }
 
 /// The GPU AMC pipeline driver.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct GpuAmc {
     se: StructuringElement,
     fuse: bool,
-    /// Compiled graphs cached per (device, chunk geometry): every full
-    /// chunk of a run shares one compile, the ragged last chunk gets its
-    /// own, and repeat runs reuse both.
-    graphs: RefCell<HashMap<GraphKey, Rc<AmcGraph>>>,
+    /// Compiled graphs cached per (device profile, chunk geometry): every
+    /// full chunk of a run shares one compile, the ragged last chunk gets
+    /// its own, and repeat runs reuse both. One cache serves every device
+    /// that shades through this driver — the fleet's device threads share
+    /// it, so devices of one profile compile each geometry once.
+    graphs: Mutex<HashMap<GraphKey, Arc<AmcGraph>>>,
 }
+
+// The fleet shades chunks on several device threads through one shared
+// `&GpuAmc`; an `Rc` or `RefCell` field would break that at compile time.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<GpuAmc>();
+};
 
 impl GpuAmc {
     /// Create a driver for the given structuring element. `KernelMode` has
@@ -362,7 +370,7 @@ impl GpuAmc {
         Self {
             se,
             fuse,
-            graphs: RefCell::new(HashMap::new()),
+            graphs: Mutex::new(HashMap::new()),
         }
     }
 
@@ -381,7 +389,10 @@ impl GpuAmc {
     /// compiled-graph cache.
     pub fn set_fusion(&mut self, fuse: bool) {
         self.fuse = fuse;
-        self.graphs.borrow_mut().clear();
+        self.graphs
+            .get_mut()
+            .expect("graph cache poisoned by a panicked compile")
+            .clear();
     }
 
     /// Compile the AMC render graph for one chunk geometry, for
@@ -553,29 +564,34 @@ impl GpuAmc {
     }
 
     /// Fetch (or compile and cache) the AMC graph for one device profile
-    /// and chunk geometry.
+    /// and chunk geometry. The lock is held across the compile, so devices
+    /// racing for the same key compile it once and the rest wait for it.
     fn compiled_graph_for(
         &self,
         profile: &GpuProfile,
         w: usize,
         h: usize,
         bands: usize,
-    ) -> Result<Rc<AmcGraph>> {
+    ) -> Result<Arc<AmcGraph>> {
         let key: GraphKey = (profile.name, w, h, bands);
-        if let Some(cached) = self.graphs.borrow().get(&key) {
-            return Ok(cached.clone());
+        let mut graphs = self
+            .graphs
+            .lock()
+            .expect("graph cache poisoned by a panicked compile");
+        if let Some(cached) = graphs.get(&key) {
+            return Ok(Arc::clone(cached));
         }
         let _span = trace::span("pipeline.graph_compile", profile.name);
         let (g, bands_h, lut, mei, state) = self.declare_amc_graph(w, h, bands);
         let compiled = graph::compile(&g, profile, self.fuse).map_err(AmcError::Graph)?;
-        let amc = Rc::new(AmcGraph {
+        let amc = Arc::new(AmcGraph {
             compiled,
             bands: bands_h,
             lut,
             mei,
             state,
         });
-        self.graphs.borrow_mut().insert(key, amc.clone());
+        graphs.insert(key, Arc::clone(&amc));
         Ok(amc)
     }
 
@@ -815,6 +831,10 @@ impl GpuAmc {
     /// Textures are drawn from (and returned to) the device pool; readbacks
     /// land in `scratch` so repeat chunks allocate nothing on the host
     /// either.
+    ///
+    /// A chunk that fails returns every texture it still holds to the pool
+    /// before reporting the error, so the device stays usable: a failed
+    /// chunk never strands video memory that a later run would need.
     pub(crate) fn run_chunk_packed(
         &self,
         gpu: &mut Gpu,
@@ -823,6 +843,30 @@ impl GpuAmc {
         bands: usize,
         packed: &[Vec<f32>],
         scratch: &mut ChunkScratch,
+    ) -> Result<PipelineOutput> {
+        let mut held = Vec::new();
+        let result = self.shade_chunk(gpu, w, h, bands, packed, scratch, &mut held);
+        if result.is_err() {
+            for t in held {
+                // Every id in `held` is live, so the release cannot fail.
+                let _ = gpu.release_pooled(t);
+            }
+        }
+        result
+    }
+
+    /// The body of [`Self::run_chunk_packed`]. `held` tracks the pooled
+    /// textures acquired and not yet released; it is empty on success.
+    #[allow(clippy::too_many_arguments)]
+    fn shade_chunk(
+        &self,
+        gpu: &mut Gpu,
+        w: usize,
+        h: usize,
+        bands: usize,
+        packed: &[Vec<f32>],
+        scratch: &mut ChunkScratch,
+        held: &mut Vec<TextureId>,
     ) -> Result<PipelineOutput> {
         let groups = layout::band_groups(bands);
         debug_assert_eq!(packed.len(), groups, "pre-packed group count");
@@ -835,13 +879,13 @@ impl GpuAmc {
         let stage_span = trace::span("pipeline.stage", "upload");
         let stage_start = Instant::now();
         let before_upload = gpu.stats();
-        let mut band_tex: Vec<TextureId> = Vec::with_capacity(groups);
         for plane in packed {
             let t = gpu.alloc_pooled(w, h)?;
+            held.push(t);
             gpu.upload(t, plane)?;
-            band_tex.push(t);
         }
         let lut = gpu.alloc_pooled(p_b, 1)?;
+        held.push(lut);
         gpu.upload(lut, &kernels::offset_lut(&offsets, w, h))?;
         stages.upload = gpu.stats();
         stages.upload.sub(&before_upload);
@@ -855,10 +899,13 @@ impl GpuAmc {
             .bands
             .iter()
             .copied()
-            .zip(band_tex.iter().copied())
+            .zip(held.iter().copied())
             .collect();
         imports.push((amc.lut, lut));
         let report = amc.compiled.execute(gpu, &imports)?;
+        // Outputs go first: the release order (outputs, bands, LUT) decides
+        // which pooled texture the next chunk reuses.
+        held.splice(0..0, report.outputs.iter().map(|&(_, id)| id));
         for run in &report.stages {
             match run.name {
                 "normalize" => {
@@ -908,13 +955,9 @@ impl GpuAmc {
             min_index.push(texel[1].round() as u32);
             max_index.push(texel[3].round() as u32);
         }
-        for (_, id) in report.outputs {
-            gpu.release_pooled(id)?;
-        }
-        for t in band_tex {
+        for t in held.drain(..) {
             gpu.release_pooled(t)?;
         }
-        gpu.release_pooled(lut)?;
         wall.download_s = stage_start.elapsed().as_secs_f64();
         drop(stage_span);
 

@@ -38,7 +38,7 @@ fn main() {
 
     let config = AmcConfig::paper_default(classes.len());
     let amc = GpuAmc::new(config.se.clone(), KernelMode::Isa);
-    let fleet = DeviceFleet::new(profiles);
+    let mut fleet = DeviceFleet::new(profiles);
     println!(
         "running the stream pipeline on {} device(s): {}",
         fleet.profiles().len(),

@@ -1,6 +1,7 @@
 //! Failure-path coverage across crate boundaries: memory exhaustion,
 //! malformed kernels, degenerate inputs.
 
+use hyperspec::amc::fleet::DeviceFleet;
 use hyperspec::amc::pipeline::{AmcError, GpuAmc, KernelMode};
 use hyperspec::gpu::asm;
 use hyperspec::gpu::error::GpuError;
@@ -41,6 +42,75 @@ fn chunk_planner_makes_the_same_cube_fit() {
     assert!(out.chunks > 1, "planner should have split the image");
     assert_eq!(gpu.allocated_bytes(), 0, "all textures freed");
     assert_eq!(gpu.pooled_bytes(), 0, "pool drained after the run");
+}
+
+fn mei_bits(m: &MeiImage) -> Vec<u32> {
+    m.scores.iter().map(|s| s.to_bits()).collect()
+}
+
+#[test]
+fn a_failed_chunk_releases_its_textures_and_the_device_recovers() {
+    // The unplanned whole-cube chunk uploads its band planes, then runs
+    // out of video memory inside the render graph. Every texture it
+    // acquired must be back in the pool, so a correctly planned run on the
+    // same device then succeeds and matches a fresh device bit for bit.
+    let mut profile = GpuProfile::fx5950_ultra();
+    profile.video_memory_mib = 2;
+    let cube = Cube::from_fn(CubeDims::new(128, 128, 16), Interleave::Bip, |x, y, b| {
+        (x * 3 + y * 5 + b) as f32 + 1.0
+    })
+    .unwrap();
+    let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Isa);
+    let mut gpu = Gpu::new(profile.clone());
+    let err = amc.run_chunk(&mut gpu, &cube).unwrap_err();
+    assert!(
+        matches!(err, AmcError::Gpu(GpuError::OutOfVideoMemory { .. })),
+        "{err}"
+    );
+    assert_eq!(gpu.allocated_bytes(), 0, "the failed chunk leaked textures");
+    let rerun = amc.run(&mut gpu, &cube).expect("planned rerun fits");
+    let fresh = amc.run(&mut Gpu::new(profile), &cube).unwrap();
+    assert!(fresh.chunks > 1);
+    assert_eq!(mei_bits(&rerun.mei), mei_bits(&fresh.mei));
+    assert_eq!(rerun.min_index, fresh.min_index);
+    assert_eq!(rerun.max_index, fresh.max_index);
+    assert_eq!(rerun.stages, fresh.stages);
+    assert_eq!(gpu.allocated_bytes(), 0);
+}
+
+#[test]
+fn a_fleet_recovers_after_a_failed_run() {
+    // The fleet keeps its devices across runs, so a run that fails on an
+    // oversize chunking (the whole cube as one chunk) must not poison the
+    // next one. At 1 MiB the memory-bound plan of this cube sets the
+    // fleet's chunks, which fill the device, so any texture the failed run
+    // stranded breaks the rerun.
+    let mut profile = GpuProfile::fx5950_ultra();
+    profile.video_memory_mib = 1;
+    let cube = Cube::from_fn(CubeDims::new(256, 96, 16), Interleave::Bip, |x, y, b| {
+        (x * 3 + y * 5 + b) as f32 + 1.0
+    })
+    .unwrap();
+    let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Isa);
+    let mut fleet = DeviceFleet::new(vec![profile.clone(), profile.clone()]);
+    let whole = Chunking::new(cube.dims().height, 2 * amc.se().radius_y());
+    let err = fleet.run_with_chunking(&amc, &cube, whole).unwrap_err();
+    assert!(
+        matches!(err, AmcError::Gpu(GpuError::OutOfVideoMemory { .. })),
+        "{err}"
+    );
+    let out = fleet.run(&amc, &cube).expect("planned run after a failure");
+    let tight = amc
+        .plan_chunking(&Gpu::new(profile.clone()), &cube)
+        .unwrap();
+    assert_eq!(out.chunking, tight, "the plan must fill the device");
+    let fresh = DeviceFleet::new(vec![profile.clone(), profile])
+        .run(&amc, &cube)
+        .unwrap();
+    assert_eq!(mei_bits(&out.pipeline.mei), mei_bits(&fresh.pipeline.mei));
+    assert_eq!(out.pipeline.min_index, fresh.pipeline.min_index);
+    assert_eq!(out.pipeline.max_index, fresh.pipeline.max_index);
+    assert_eq!(out.pipeline.stages, fresh.pipeline.stages);
 }
 
 #[test]
