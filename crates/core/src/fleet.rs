@@ -1,11 +1,13 @@
-//! Heterogeneous multi-device fleet executor.
+//! The chunk executor, for one device or a heterogeneous fleet.
 //!
-//! [`DeviceFleet`] owns N simulated [`Gpu`] devices with arbitrary mixed
-//! profiles and shards one chunk plan across them:
+//! `execute` is the one chunk loop: [`GpuAmc::run_with_chunking`] calls
+//! it with a single device (a fleet of one), and [`DeviceFleet`] calls it
+//! with the N simulated [`Gpu`]s of arbitrary mixed profiles it owns,
+//! sharding one chunk plan across them:
 //!
 //! * **Planning** is fleet-shape-independent: the chunking is derived from
 //!   the cube, the structuring element and the *smallest* video memory in
-//!   the fleet, then refined to expose at least [`FleetConfig::target_chunks`]
+//!   the fleet, then refined to expose at least 8 (`TARGET_CHUNKS`)
 //!   shardable units. The same shape and inputs always produce the same
 //!   chunk list no matter how many devices execute it — the foundation of
 //!   the bit-identity guarantee below.
@@ -17,21 +19,22 @@
 //! * **Dispatch** rebalances with work-stealing: a device that drains its
 //!   queue steals from the back of the victim with the most remaining
 //!   modeled work, so a mispriced device or a ragged tail cannot idle the
-//!   fleet.
-//! * **Transfers** overlap shading per device: each device thread packs
-//!   the next chunk at the head of its own queue on a reserved worker
-//!   while the current chunk shades, exactly like the single-device
-//!   executor's double-buffered uploader — but now across devices too,
-//!   with the bus model charging contention when devices share the host
-//!   link ([`gpu_sim::bus::BusModel::contended`]).
+//!   fleet. Device 0 runs its dispatch loop on the calling thread; only
+//!   devices 1..n get a thread (and a `device<i>.<name>` trace row) each.
+//! * **Transfers** overlap shading per device: each device packs the next
+//!   chunk at the head of its own queue on a reserved worker while the
+//!   current chunk shades (double-buffered upload staging), with the bus
+//!   model charging contention when devices share the host link
+//!   ([`gpu_sim::bus::BusModel::contended`]).
 //!
 //! **Compile once.** The fleet owns its [`Gpu`]s for its whole life, so
 //! each device's verify, optimizer and lowering caches fill on the first
-//! run and hit on every later one; its texture pool is drained at the end
-//! of each run. Device threads shade through the caller's one [`GpuAmc`],
-//! whose compiled-graph cache is shared and keyed by (profile, chunk
-//! geometry): devices of one profile compile each geometry once between
-//! them, and a repeat run compiles nothing.
+//! run and hit on every later one; every device's texture pool is drained
+//! at the end of each run, whether or not a chunk failed. Devices shade
+//! through the caller's one [`GpuAmc`], whose compiled-graph cache is
+//! shared and keyed by (profile, chunk geometry): devices of one profile
+//! compile each geometry once between them, and a repeat run compiles
+//! nothing.
 //!
 //! **Determinism.** A cached graph or lowering is a pure function of its
 //! key, and shading arithmetic is profile-independent in the simulator,
@@ -41,6 +44,8 @@
 //! devices join — never in completion order — so labels, renders and
 //! stats are bit-identical at every fleet shape × thread count × run,
 //! extending the tile-order (thread-count) guarantee to device count.
+//!
+//! [`PassStats`]: gpu_sim::counters::PassStats
 
 use crate::layout;
 use crate::perf::{self, PredictConfig};
@@ -97,21 +102,11 @@ pub fn parse_device_list(list: &str) -> std::result::Result<Vec<GpuProfile>, Unk
     Ok(profiles)
 }
 
-/// Fleet execution knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct FleetConfig {
-    /// Minimum chunk count the planner aims for, so a scene that fits one
-    /// device's memory in a single chunk still yields shardable units.
-    /// Deliberately independent of the fleet size: the chunk plan — and
-    /// therefore every counter — must not change with the device count.
-    pub target_chunks: usize,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        Self { target_chunks: 8 }
-    }
-}
+/// Minimum chunk count [`DeviceFleet::plan_chunking`] aims for, so a scene
+/// that fits one device's memory in a single chunk still yields shardable
+/// units. Deliberately independent of the fleet size: the chunk plan — and
+/// therefore every counter — must not change with the device count.
+const TARGET_CHUNKS: usize = 8;
 
 /// One device's row in the fleet report.
 #[derive(Debug, Clone)]
@@ -149,17 +144,11 @@ pub struct FleetOutput {
     pub wall_s: f64,
 }
 
-/// Per-chunk result a device thread hands back for the ordered merge.
-struct ChunkResult {
-    chunk: usize,
-    out: PipelineOutput,
-}
-
-/// What one device thread produces: its chunk results (any order — the
-/// merge re-orders), its execution log, and its loop wall time.
+/// What one device's dispatch loop produces: its chunk outputs as
+/// `(chunk index, output)` in execution order (the merge re-orders) and
+/// its loop wall time.
 struct DeviceRun {
-    results: Vec<ChunkResult>,
-    executed: Vec<usize>,
+    results: Vec<(usize, PipelineOutput)>,
     steals: u64,
     wall_s: f64,
 }
@@ -203,16 +192,13 @@ impl Dispatch {
 /// A fleet of simulated GPUs sharing one host link. The fleet owns its
 /// devices, so their compile caches persist from one run to the next.
 pub struct DeviceFleet {
-    profiles: Vec<GpuProfile>,
     devices: Vec<Gpu>,
-    config: FleetConfig,
 }
 
 impl std::fmt::Debug for DeviceFleet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DeviceFleet")
-            .field("profiles", &self.profiles)
-            .field("config", &self.config)
+            .field("profiles", &self.profiles().collect::<Vec<_>>())
             .finish_non_exhaustive()
     }
 }
@@ -222,104 +208,36 @@ impl DeviceFleet {
     /// profile, kept for every run.
     pub fn new(profiles: Vec<GpuProfile>) -> Self {
         assert!(!profiles.is_empty(), "a fleet needs at least one device");
-        let devices = profiles.iter().cloned().map(Gpu::new).collect();
         Self {
-            profiles,
-            devices,
-            config: FleetConfig::default(),
+            devices: profiles.into_iter().map(Gpu::new).collect(),
         }
     }
 
-    /// Override the fleet configuration.
-    pub fn with_config(mut self, config: FleetConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// The device profiles, in fleet order.
-    pub fn profiles(&self) -> &[GpuProfile] {
-        &self.profiles
+    pub fn profiles(&self) -> impl ExactSizeIterator<Item = &GpuProfile> {
+        self.devices.iter().map(Gpu::profile)
     }
 
     /// Plan the shared chunking for a cube: the binary-search planner under
     /// the *smallest* video memory in the fleet (every device must be able
     /// to hold any chunk), refined down so the plan yields at least
-    /// [`FleetConfig::target_chunks`] chunks when the image has the lines
-    /// for it. Depends on the fleet's *set* of memory sizes only — never on
-    /// the device count — so every fleet shape over the same hardware
+    /// `TARGET_CHUNKS` (8) chunks when the image has the lines for it.
+    /// Depends on the fleet's *set* of memory sizes only — never on the
+    /// device count — so every fleet shape over the same hardware
     /// generation(s) shares one plan.
     pub fn plan_chunking(&self, amc: &GpuAmc, cube: &Cube) -> Result<Chunking> {
         let dims = cube.dims();
         let budget = self
-            .profiles
-            .iter()
-            .map(|p| p.video_memory_bytes())
+            .profiles()
+            .map(GpuProfile::video_memory_bytes)
             .min()
             .expect("fleet is non-empty");
         let planned = amc.plan_chunking_for_budget(budget, dims.width, dims.height, dims.bands)?;
-        let target_lines = dims.height.div_ceil(self.config.target_chunks.max(1));
+        let target_lines = dims.height.div_ceil(TARGET_CHUNKS);
         Ok(Chunking::new(
             planned.lines_per_chunk.min(target_lines.max(1)),
             planned.halo,
         ))
-    }
-
-    /// Price every chunk on every device: `cost[d][i]` is the modeled
-    /// seconds device `d` spends on chunk `i` (exact predicted counters at
-    /// the chunk geometry, contended bus, overlapped transfers).
-    fn chunk_costs(&self, amc: &GpuAmc, chunks: &[Chunk]) -> Vec<Vec<f64>> {
-        let sharers = self.profiles.len();
-        let cfg = PredictConfig::default();
-        self.profiles
-            .iter()
-            .map(|p| {
-                chunks
-                    .iter()
-                    .map(|c| {
-                        let d = c.cube.dims();
-                        perf::predict_chunk_time_s(
-                            d.width,
-                            d.height,
-                            d.bands,
-                            amc.se(),
-                            p,
-                            sharers,
-                            &cfg,
-                        )
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Initial placement: contiguous runs of chunks proportional to each
-    /// device's modeled throughput. The ideal makespan of a perfectly
-    /// divisible workload is `1 / Σ_d (1/T_d)` where `T_d` is device `d`'s
-    /// time for the *whole* chunk list; each device takes chunks until its
-    /// own-cost load reaches that ideal, and the last device takes the
-    /// remainder. Deterministic: pure arithmetic over the cost matrix.
-    fn place(&self, cost: &[Vec<f64>]) -> Vec<Vec<usize>> {
-        let n_dev = self.profiles.len();
-        let n_chunks = cost[0].len();
-        let totals: Vec<f64> = cost.iter().map(|row| row.iter().sum()).collect();
-        let ideal = 1.0 / totals.iter().map(|&t| 1.0 / t.max(1e-30)).sum::<f64>();
-        let mut placement = vec![Vec::new(); n_dev];
-        let (mut d, mut load) = (0usize, 0.0f64);
-        // A range loop on purpose: the row `cost[d]` changes as `d`
-        // advances mid-walk, so there is no single slice to iterate.
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..n_chunks {
-            // Move on once the device is at (or past) its fair share —
-            // charging half the next chunk keeps the boundary chunk with
-            // whichever side it overlaps more.
-            if d + 1 < n_dev && load + cost[d][i] / 2.0 > ideal {
-                d += 1;
-                load = 0.0;
-            }
-            placement[d].push(i);
-            load += cost[d][i];
-        }
-        placement
     }
 
     /// Run the full pipeline over a cube across the fleet.
@@ -335,125 +253,7 @@ impl DeviceFleet {
         cube: &Cube,
         chunking: Chunking,
     ) -> Result<FleetOutput> {
-        let dims = cube.dims();
-        let chunks: Vec<Chunk> = cube.chunks(chunking).collect();
-        let cost = self.chunk_costs(amc, &chunks);
-        let placement = self.place(&cost);
-        let n_dev = self.profiles.len();
-        // Wall anchor for the analyzer: brackets dispatch through merge so
-        // per-device `fleet.chunk` spans reconstruct into one fleet DAG.
-        let _run_span = trace::span_with(
-            "fleet.run",
-            "run",
-            &[
-                ("devices", ArgValue::U64(n_dev as u64)),
-                ("chunks", ArgValue::U64(chunks.len() as u64)),
-            ],
-        );
-
-        // Device threads run outside the worker pool: each gets an equal
-        // share of the advertised width, at least one. With more devices
-        // than the cap (say 2 devices at a cap of 1) the fleet therefore
-        // shades on more threads than a single-device run would. The
-        // override is thread-local, so each device thread re-establishes
-        // its share.
-        let total_threads = rayon::max_threads();
-        let per_device_threads = (total_threads / n_dev).max(1);
-
-        let dispatch = Mutex::new(Dispatch {
-            queues: placement
-                .iter()
-                .map(|p| p.iter().copied().collect())
-                .collect(),
-        });
-
-        let fleet_start = Instant::now();
-        let runs: Vec<Result<DeviceRun>> = std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .devices
-                .iter_mut()
-                .enumerate()
-                .map(|(me, gpu)| {
-                    let (chunks, cost, dispatch) = (&chunks, &cost, &dispatch);
-                    s.spawn(move || {
-                        rayon::with_threads(per_device_threads, || {
-                            run_device(me, gpu, amc, chunks, cost, dispatch)
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("device thread panicked"))
-                .collect()
-        });
-        let wall_s = fleet_start.elapsed().as_secs_f64();
-
-        // Deterministic merge: park every chunk result in its slot, then
-        // stitch bodies and fold counters in chunk index order — identical
-        // to the single-device loop over the same chunk list.
-        let mut slots: Vec<Option<PipelineOutput>> = (0..chunks.len()).map(|_| None).collect();
-        let mut devices = Vec::with_capacity(n_dev);
-        let mut steals = 0u64;
-        for (me, run) in runs.into_iter().enumerate() {
-            let run = run?;
-            let modeled_s: f64 = run.executed.iter().map(|&i| cost[me][i]).sum();
-            steals += run.steals;
-            for r in run.results {
-                debug_assert!(slots[r.chunk].is_none(), "chunk executed twice");
-                slots[r.chunk] = Some(r.out);
-            }
-            devices.push(DeviceReport {
-                profile: self.profiles[me].clone(),
-                planned: placement[me].clone(),
-                executed: run.executed,
-                steals: run.steals,
-                modeled_s,
-                wall_s: run.wall_s,
-            });
-        }
-
-        let mut mei_scores = vec![0.0f32; dims.pixels()];
-        let mut min_index = vec![0u32; dims.pixels()];
-        let mut max_index = vec![0u32; dims.pixels()];
-        let mut stages = StageStats::default();
-        let mut stage_wall = StageWall::default();
-        for (chunk, slot) in chunks.iter().zip(slots) {
-            let out = slot.expect("every chunk executed");
-            let cw = chunk.cube.dims().width;
-            for local_y in chunk.body_range() {
-                let global_y = chunk.y_start + (local_y - chunk.halo_top);
-                let src = local_y * cw;
-                let dst = global_y * dims.width;
-                mei_scores[dst..dst + cw].copy_from_slice(&out.mei.scores[src..src + cw]);
-                min_index[dst..dst + cw].copy_from_slice(&out.min_index[src..src + cw]);
-                max_index[dst..dst + cw].copy_from_slice(&out.max_index[src..src + cw]);
-            }
-            stages.add(&out.stages);
-            stage_wall.add(&out.stage_wall);
-        }
-
-        let modeled_makespan_s = devices.iter().map(|d| d.modeled_s).fold(0.0f64, f64::max);
-        Ok(FleetOutput {
-            pipeline: PipelineOutput {
-                mei: MeiImage {
-                    width: dims.width,
-                    height: dims.height,
-                    scores: mei_scores,
-                },
-                min_index,
-                max_index,
-                stats: stages.total(),
-                stages,
-                stage_wall,
-                chunks: chunks.len(),
-            },
-            chunking,
-            devices,
-            steals,
-            modeled_makespan_s,
-            wall_s,
-        })
+        execute(&mut self.devices, amc, cube, chunking)
     }
 
     /// Modeled seconds a *single* device of `profile` (uncontended bus)
@@ -475,30 +275,209 @@ impl DeviceFleet {
     }
 }
 
-/// One device's dispatch loop: pop (or steal) chunks until the fleet
-/// drains, shading each on this device while a reserved worker packs the
-/// next chunk at the head of the own queue. The pool is drained when the
-/// loop ends, whether or not a chunk failed.
-fn run_device(
-    me: usize,
-    gpu: &mut Gpu,
-    amc: &GpuAmc,
-    chunks: &[Chunk],
-    cost: &[Vec<f64>],
-    dispatch: &Mutex<Dispatch>,
-) -> Result<DeviceRun> {
-    if trace::enabled() {
-        // One Perfetto row per device: upload/stage/pass spans emitted
-        // while this thread shades land on it, so overlap across devices
-        // is visible at a glance.
-        trace::set_thread_name(&format!("device{me}.{}", gpu.profile().short_name()));
-    }
-    let run = dispatch_loop(me, gpu, amc, chunks, cost, dispatch);
-    gpu.drain_pool();
-    run
+/// Price every chunk on every device: `cost[d][i]` is the modeled seconds
+/// device `d` spends on chunk `i` (exact predicted counters at the chunk
+/// geometry, contended bus, overlapped transfers).
+fn chunk_costs(devices: &[Gpu], amc: &GpuAmc, chunks: &[Chunk]) -> Vec<Vec<f64>> {
+    let cfg = PredictConfig::default();
+    devices
+        .iter()
+        .map(|gpu| {
+            chunks
+                .iter()
+                .map(|c| {
+                    let d = c.cube.dims();
+                    perf::predict_chunk_time_s(
+                        d.width,
+                        d.height,
+                        d.bands,
+                        amc.se(),
+                        gpu.profile(),
+                        devices.len(),
+                        &cfg,
+                    )
+                })
+                .collect()
+        })
+        .collect()
 }
 
-/// The body of [`run_device`].
+/// Initial placement: contiguous runs of chunks proportional to each
+/// device's modeled throughput. The ideal makespan of a perfectly
+/// divisible workload is `1 / Σ_d (1/T_d)` where `T_d` is device `d`'s
+/// time for the *whole* chunk list; each device takes chunks until its own
+/// cost load reaches that ideal, and the last device takes the remainder.
+/// Deterministic: pure arithmetic over the cost matrix.
+fn place(cost: &[Vec<f64>]) -> Vec<Vec<usize>> {
+    let n_dev = cost.len();
+    let n_chunks = cost[0].len();
+    let totals: Vec<f64> = cost.iter().map(|row| row.iter().sum()).collect();
+    let ideal = 1.0 / totals.iter().map(|&t| 1.0 / t.max(1e-30)).sum::<f64>();
+    let mut placement = vec![Vec::new(); n_dev];
+    let (mut d, mut load) = (0usize, 0.0f64);
+    // A range loop on purpose: the row `cost[d]` changes as `d` advances
+    // mid-walk, so there is no single slice to iterate.
+    #[allow(clippy::needless_range_loop)]
+    for i in 0..n_chunks {
+        // Move on once the device is at (or past) its fair share —
+        // charging half the next chunk keeps the boundary chunk with
+        // whichever side it overlaps more.
+        if d + 1 < n_dev && load + cost[d][i] / 2.0 > ideal {
+            d += 1;
+            load = 0.0;
+        }
+        placement[d].push(i);
+        load += cost[d][i];
+    }
+    placement
+}
+
+/// Run the six-stage pipeline over every chunk of `cube` on `devices` (at
+/// least one): price and place the chunks, run one work-stealing dispatch
+/// loop per device, then stitch bodies and fold counters in chunk index
+/// order. Device 0's loop runs on the calling thread. Every device's pool
+/// is drained before returning, whether or not a chunk failed.
+pub(crate) fn execute(
+    devices: &mut [Gpu],
+    amc: &GpuAmc,
+    cube: &Cube,
+    chunking: Chunking,
+) -> Result<FleetOutput> {
+    let dims = cube.dims();
+    let chunks: Vec<Chunk> = cube.chunks(chunking).collect();
+    let cost = chunk_costs(devices, amc, &chunks);
+    let placement = place(&cost);
+    let n_dev = devices.len();
+    // Wall anchor for the analyzer: brackets dispatch through merge so
+    // per-device `fleet.chunk` spans reconstruct into one fleet DAG.
+    let _run_span = trace::span_with(
+        "fleet.run",
+        "run",
+        &[
+            ("devices", ArgValue::U64(n_dev as u64)),
+            ("chunks", ArgValue::U64(chunks.len() as u64)),
+        ],
+    );
+
+    // Devices 1..n run outside the worker pool: each device gets an equal
+    // share of the advertised width, at least one. With more devices than
+    // the cap (say 2 devices at a cap of 1) the fleet therefore shades on
+    // more threads than a single-device run would. The override is
+    // thread-local, so each device thread re-establishes its share.
+    let per_device_threads = (rayon::max_threads() / n_dev).max(1);
+    let dispatch = Mutex::new(Dispatch {
+        queues: placement
+            .iter()
+            .map(|p| p.iter().copied().collect())
+            .collect(),
+    });
+
+    let fleet_start = Instant::now();
+    let (first, rest) = devices
+        .split_first_mut()
+        .expect("a fleet needs at least one device");
+    let runs: Vec<Result<DeviceRun>> = std::thread::scope(|s| {
+        let (chunks, cost, dispatch) = (&chunks, &cost, &dispatch);
+        let handles: Vec<_> = (1..)
+            .zip(rest.iter_mut())
+            .map(|(me, gpu)| {
+                s.spawn(move || {
+                    if trace::enabled() {
+                        // One Perfetto row per extra device: upload/stage/
+                        // pass spans emitted while it shades land on it, so
+                        // overlap across devices is visible at a glance.
+                        let name = gpu.profile().short_name();
+                        trace::set_thread_name(&format!("device{me}.{name}"));
+                    }
+                    rayon::with_threads(per_device_threads, || {
+                        dispatch_loop(me, gpu, amc, chunks, cost, dispatch)
+                    })
+                })
+            })
+            .collect();
+        // Device 0 shades on the calling thread: a one-device run spawns
+        // no device thread, and so no per-run thread arena either.
+        let mut runs = vec![rayon::with_threads(per_device_threads, || {
+            dispatch_loop(0, first, amc, chunks, cost, dispatch)
+        })];
+        runs.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("device thread panicked")),
+        );
+        runs
+    });
+    for gpu in devices.iter_mut() {
+        gpu.drain_pool();
+    }
+    let wall_s = fleet_start.elapsed().as_secs_f64();
+
+    // Deterministic merge: park every chunk result in its slot, then
+    // stitch bodies and fold counters in chunk index order.
+    let mut slots: Vec<Option<PipelineOutput>> = (0..chunks.len()).map(|_| None).collect();
+    let mut reports = Vec::with_capacity(n_dev);
+    for (me, (run, planned)) in runs.into_iter().zip(placement).enumerate() {
+        let run = run?;
+        let executed: Vec<usize> = run.results.iter().map(|&(i, _)| i).collect();
+        for (i, out) in run.results {
+            debug_assert!(slots[i].is_none(), "chunk executed twice");
+            slots[i] = Some(out);
+        }
+        reports.push(DeviceReport {
+            profile: devices[me].profile().clone(),
+            modeled_s: executed.iter().map(|&i| cost[me][i]).sum(),
+            planned,
+            executed,
+            steals: run.steals,
+            wall_s: run.wall_s,
+        });
+    }
+
+    let mut mei_scores = vec![0.0f32; dims.pixels()];
+    let mut min_index = vec![0u32; dims.pixels()];
+    let mut max_index = vec![0u32; dims.pixels()];
+    let mut stages = StageStats::default();
+    let mut stage_wall = StageWall::default();
+    for (chunk, slot) in chunks.iter().zip(slots) {
+        let out = slot.expect("every chunk executed");
+        let cw = chunk.cube.dims().width;
+        for local_y in chunk.body_range() {
+            let global_y = chunk.y_start + (local_y - chunk.halo_top);
+            let src = local_y * cw;
+            let dst = global_y * dims.width;
+            mei_scores[dst..dst + cw].copy_from_slice(&out.mei.scores[src..src + cw]);
+            min_index[dst..dst + cw].copy_from_slice(&out.min_index[src..src + cw]);
+            max_index[dst..dst + cw].copy_from_slice(&out.max_index[src..src + cw]);
+        }
+        stages.add(&out.stages);
+        stage_wall.add(&out.stage_wall);
+    }
+
+    Ok(FleetOutput {
+        pipeline: PipelineOutput {
+            mei: MeiImage {
+                width: dims.width,
+                height: dims.height,
+                scores: mei_scores,
+            },
+            min_index,
+            max_index,
+            stats: stages.total(),
+            stages,
+            stage_wall,
+            chunks: chunks.len(),
+        },
+        chunking,
+        steals: reports.iter().map(|d| d.steals).sum(),
+        modeled_makespan_s: reports.iter().map(|d| d.modeled_s).fold(0.0f64, f64::max),
+        devices: reports,
+        wall_s,
+    })
+}
+
+/// One device's dispatch loop: pop (or steal) chunks until the fleet
+/// drains, shading each on this device while a reserved worker packs the
+/// next chunk at the head of the own queue.
 fn dispatch_loop(
     me: usize,
     gpu: &mut Gpu,
@@ -509,10 +488,10 @@ fn dispatch_loop(
 ) -> Result<DeviceRun> {
     let mut scratch = ChunkScratch::default();
     let mut results = Vec::new();
-    let mut executed = Vec::new();
     let mut steals = 0u64;
-    // Double-buffered staging, per device: `prepacked` holds the chunk a
-    // packer thread prepared while the previous chunk shaded.
+    // Double-buffered staging: `prepacked` holds the chunk a packer thread
+    // prepared while the previous chunk shaded; `spare` is the buffer set
+    // the next packer fills.
     let mut prepacked: Option<(usize, Vec<Vec<f32>>)> = None;
     let mut spare: Vec<Vec<f32>> = Vec::new();
     let start = Instant::now();
@@ -531,10 +510,10 @@ fn dispatch_loop(
             ],
         );
         let chunk_start = Instant::now();
-        // Use the prefetched buffers when they are for this chunk; a steal
-        // (ours or another device's) invalidates the prefetch, so pack
-        // synchronously and recycle the buffers.
-        let mut packed = match prepacked.take() {
+        // Use the prefetched buffers when they are for this chunk; the
+        // first chunk, or a steal (ours or another device's), has none, so
+        // pack synchronously and recycle the buffers.
+        let packed = match prepacked.take() {
             Some((j, bufs)) if j == i => bufs,
             other => {
                 let mut bufs = other.map(|(_, b)| b).unwrap_or_default();
@@ -551,6 +530,8 @@ fn dispatch_loop(
                 let mut buf = std::mem::take(&mut spare);
                 s.spawn(move || {
                     if trace::enabled() {
+                        // One stable row per device: the scope joins each
+                        // packer before the next spawns.
                         trace::set_thread_name(&format!("device{me}.packer"));
                     }
                     let _pack = trace::span_with(
@@ -565,28 +546,22 @@ fn dispatch_loop(
                     (j, buf)
                 })
             });
-            // The packer owns one of this device's workers while it runs.
+            // The packer owns one of this device's workers while it runs,
+            // so the device never shades on more threads than its share.
             let _packer_core = packer.as_ref().map(|_| rayon::reserve_thread());
             let result =
                 amc.run_chunk_packed(gpu, cd.width, cd.height, cd.bands, &packed, &mut scratch);
             let next_bufs = packer.map(|h| h.join().expect("packer thread panicked"));
             (result, next_bufs)
         });
-        let out = result?;
-        if let Some(pair) = next_bufs {
-            prepacked = Some(pair);
-            spare = std::mem::take(&mut packed);
-        } else {
-            spare = std::mem::take(&mut packed);
-        }
-        results.push(ChunkResult { chunk: i, out });
-        executed.push(i);
+        results.push((i, result?));
+        prepacked = next_bufs;
+        spare = packed;
         trace::metrics::observe("fleet.chunk_wall", chunk_start.elapsed());
         drop(chunk_span);
     }
     Ok(DeviceRun {
         results,
-        executed,
         steals,
         wall_s: start.elapsed().as_secs_f64(),
     })
@@ -675,8 +650,8 @@ mod tests {
         ]);
         let chunking = fleet.plan_chunking(&amc, &cube).unwrap();
         let chunks: Vec<Chunk> = cube.chunks(chunking).collect();
-        let cost = fleet.chunk_costs(&amc, &chunks);
-        let placement = fleet.place(&cost);
+        let cost = chunk_costs(&fleet.devices, &amc, &chunks);
+        let placement = place(&cost);
         // Every chunk placed exactly once, contiguously, in order.
         let flat: Vec<usize> = placement.iter().flatten().copied().collect();
         assert_eq!(flat, (0..chunks.len()).collect::<Vec<_>>());
@@ -808,7 +783,7 @@ mod tests {
             GpuProfile::geforce_7800gtx(),
             GpuProfile::geforce_7800gtx(),
         ]);
-        let cost = fleet.chunk_costs(&amc, &chunks);
+        let cost = chunk_costs(&fleet.devices, &amc, &chunks);
         let mut dispatch = Dispatch {
             queues: vec![(0..chunks.len()).collect(), VecDeque::new()],
         };
@@ -838,8 +813,8 @@ mod tests {
         let fleet = DeviceFleet::new(vec![g70.clone(), g70.clone()]);
         let chunking = fleet.plan_chunking(&amc, &cube).unwrap();
         let chunks: Vec<Chunk> = cube.chunks(chunking).collect();
-        let cost = fleet.chunk_costs(&amc, &chunks);
-        let placement = fleet.place(&cost);
+        let cost = chunk_costs(&fleet.devices, &amc, &chunks);
+        let placement = place(&cost);
         let makespan = placement
             .iter()
             .enumerate()

@@ -17,9 +17,11 @@
 //! * [`perf`] — the analytic work model that regenerates Tables 4–5 and
 //!   Fig. 6 at full AVIRIS scale without executing 500 MB simulations, and
 //!   the machinery validating it against executed-simulation counters.
-//! * [`fleet`] — heterogeneous multi-device sharding: the chunk plan
-//!   distributed across N simulated GPUs by modeled throughput, with
-//!   work-stealing rebalancing and a deterministic chunk-order merge.
+//! * [`fleet`] — the one chunk executor, with heterogeneous multi-device
+//!   sharding: the chunk plan distributed across N simulated GPUs by
+//!   modeled throughput, with work-stealing rebalancing and a
+//!   deterministic chunk-order merge. A single-device run is a fleet of
+//!   one.
 
 #![warn(missing_docs)]
 
@@ -31,5 +33,5 @@ pub mod layout;
 pub mod perf;
 pub mod pipeline;
 
-pub use fleet::{DeviceFleet, FleetConfig, FleetOutput};
+pub use fleet::{DeviceFleet, FleetOutput};
 pub use pipeline::{GpuAmc, KernelMode, PipelineOutput};

@@ -37,7 +37,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use trace::ArgValue;
 
 /// Which kernel implementation executes the pipeline: the assembled
 /// fp30-style programs through the ISA interpreter, the one execution path.
@@ -687,142 +686,26 @@ impl GpuAmc {
         })
     }
 
-    /// Run the full pipeline with an explicit chunking.
-    ///
-    /// The executor splits planning from execution: chunk descriptors are
-    /// laid out first, then each chunk's band groups are packed on a worker
-    /// thread while the previous chunk shades (double-buffered upload
-    /// staging). Device textures come from the pool, so a multi-chunk run
-    /// performs the same number of real allocations as its first chunk.
+    /// Run the full pipeline with an explicit chunking: the fleet executor
+    /// ([`crate::fleet`]) with `gpu` as a fleet of one. Each chunk's band
+    /// groups are packed on a worker thread while the previous chunk
+    /// shades (double-buffered upload staging), and chunk outputs are
+    /// stitched in chunk order. Device textures come from the pool, so a
+    /// multi-chunk run performs the same number of real allocations as its
+    /// first chunk; the pool is drained when the run ends, even on error.
     pub fn run_with_chunking(
         &self,
         gpu: &mut Gpu,
         cube: &Cube,
         chunking: Chunking,
     ) -> Result<PipelineOutput> {
-        let dims = cube.dims();
-        let chunks: Vec<_> = cube.chunks(chunking).collect();
-        // Wall anchor for the analyzer: one span bracketing the whole
-        // chunked run, carrying the plan shape the chunk DAG hangs off.
-        let _run_span = trace::span_with(
-            "pipeline.run",
-            "run",
-            &[
-                ("chunks", ArgValue::U64(chunks.len() as u64)),
-                ("lines", ArgValue::U64(chunking.lines_per_chunk as u64)),
-            ],
-        );
-        let mut mei_scores = vec![0.0f32; dims.pixels()];
-        let mut min_index = vec![0u32; dims.pixels()];
-        let mut max_index = vec![0u32; dims.pixels()];
-        let mut stages = StageStats::default();
-        let mut stage_wall = StageWall::default();
-        let mut scratch = ChunkScratch::default();
-
-        // Double-buffered staging: `packed` holds the current chunk's band
-        // groups; `spare` is the buffer set the packer thread fills for the
-        // next chunk while the device shades this one.
-        let mut packed: Vec<Vec<f32>> = Vec::new();
-        let mut spare: Vec<Vec<f32>> = Vec::new();
-        if let Some(first) = chunks.first() {
-            layout::pack_cube_into(&first.cube, &mut packed);
-        }
-        for (i, chunk) in chunks.iter().enumerate() {
-            let chunk_span = trace::span_with(
-                "pipeline.chunk",
-                "chunk",
-                &[
-                    ("index", ArgValue::U64(i as u64)),
-                    ("lines", ArgValue::U64(chunk.cube.dims().height as u64)),
-                ],
-            );
-            let chunk_start = Instant::now();
-            let next_cube = chunks.get(i + 1).map(|c| &c.cube);
-            let prepack = std::mem::take(&mut spare);
-            let (result, prepacked) = std::thread::scope(|s| {
-                let packer = next_cube.map(|next| {
-                    let mut buf = prepack;
-                    s.spawn(move || {
-                        if trace::enabled() {
-                            // One stable row: the scope joins each packer
-                            // before the next spawns, so lifetimes never
-                            // overlap.
-                            trace::set_thread_name("packer");
-                        }
-                        let _pack = trace::span_with(
-                            "pipeline.pack",
-                            "pack",
-                            &[("chunk", ArgValue::U64((i + 1) as u64))],
-                        );
-                        layout::pack_cube_into(next, &mut buf);
-                        buf
-                    })
-                });
-                // The packer owns a core while it runs, so shade this chunk
-                // with one fewer pool worker — the pipeline never runs more
-                // threads than the host advertises.
-                let _packer_core = packer.as_ref().map(|_| rayon::reserve_thread());
-                let cd = chunk.cube.dims();
-                let result = self.run_chunk_packed(
-                    gpu,
-                    cd.width,
-                    cd.height,
-                    cd.bands,
-                    &packed,
-                    &mut scratch,
-                );
-                let prepacked = packer.map(|h| h.join().expect("packer thread panicked"));
-                (result, prepacked)
-            });
-            let out = result?;
-            if let Some(next) = prepacked {
-                spare = std::mem::replace(&mut packed, next);
-            }
-            let cw = chunk.cube.dims().width;
-            for local_y in chunk.body_range() {
-                let global_y = chunk.y_start + (local_y - chunk.halo_top);
-                let src = local_y * cw;
-                let dst = global_y * dims.width;
-                mei_scores[dst..dst + cw].copy_from_slice(&out.mei.scores[src..src + cw]);
-                min_index[dst..dst + cw].copy_from_slice(&out.min_index[src..src + cw]);
-                max_index[dst..dst + cw].copy_from_slice(&out.max_index[src..src + cw]);
-            }
-            stages.add(&out.stages);
-            stage_wall.add(&out.stage_wall);
-            trace::metrics::observe("pipeline.chunk_wall", chunk_start.elapsed());
-            drop(chunk_span);
-        }
-        gpu.drain_pool();
-        Ok(PipelineOutput {
-            mei: MeiImage {
-                width: dims.width,
-                height: dims.height,
-                scores: mei_scores,
-            },
-            min_index,
-            max_index,
-            stats: stages.total(),
-            stages,
-            stage_wall,
-            chunks: chunks.len(),
-        })
+        crate::fleet::execute(std::slice::from_mut(gpu), self, cube, chunking).map(|f| f.pipeline)
     }
 
-    /// Run stages 1–6 on one resident chunk (no further splitting).
+    /// Run stages 1–6 on one resident chunk (no further splitting): the
+    /// whole cube as the single chunk of [`Self::run_with_chunking`].
     pub fn run_chunk(&self, gpu: &mut Gpu, cube: &Cube) -> Result<PipelineOutput> {
-        let dims = cube.dims();
-        let mut packed = Vec::new();
-        layout::pack_cube_into(cube, &mut packed);
-        let out = self.run_chunk_packed(
-            gpu,
-            dims.width,
-            dims.height,
-            dims.bands,
-            &packed,
-            &mut ChunkScratch::default(),
-        );
-        gpu.drain_pool();
-        out
+        self.run_with_chunking(gpu, cube, Chunking::new(cube.dims().height, 0))
     }
 
     /// Execute the six stages on pre-packed band groups of a `w x h x bands`

@@ -6,7 +6,7 @@
 //! The device's video memory is shrunk so the scene splits into multiple
 //! chunks: the trace then shows the packer thread preparing chunk N+1
 //! while the worker pool shades chunk N (the double-buffer overlap), the
-//! six `pipeline.stage` spans inside each `pipeline.chunk` span, and the
+//! six `pipeline.stage` spans inside each `fleet.chunk` span, and the
 //! per-thread `gpu.tile` batches.
 //!
 //! After the run, the in-process analyzer (`trace::analyze`, DESIGN.md §17)

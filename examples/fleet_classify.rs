@@ -44,7 +44,6 @@ fn main() {
         fleet.profiles().len(),
         fleet
             .profiles()
-            .iter()
             .map(|p| p.short_name())
             .collect::<Vec<_>>()
             .join(", ")

@@ -79,6 +79,32 @@ fn a_failed_chunk_releases_its_textures_and_the_device_recovers() {
 }
 
 #[test]
+fn a_failed_chunked_run_drains_the_pool() {
+    // The whole cube as one chunk through the chunked executor runs out of
+    // video memory; the run must still drain the pool on its way out, like
+    // a successful run does, so the device holds no video memory at all.
+    let mut profile = GpuProfile::fx5950_ultra();
+    profile.video_memory_mib = 2;
+    let cube = Cube::from_fn(CubeDims::new(128, 128, 16), Interleave::Bip, |x, y, b| {
+        (x * 3 + y * 5 + b) as f32 + 1.0
+    })
+    .unwrap();
+    let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Isa);
+    let mut gpu = Gpu::new(profile);
+    let whole = Chunking::new(cube.dims().height, 2 * amc.se().radius_y());
+    let err = amc.run_with_chunking(&mut gpu, &cube, whole).unwrap_err();
+    assert!(
+        matches!(err, AmcError::Gpu(GpuError::OutOfVideoMemory { .. })),
+        "{err}"
+    );
+    assert_eq!(
+        (gpu.allocated_bytes(), gpu.pooled_bytes()),
+        (0, 0),
+        "the failed run left video memory allocated or pooled"
+    );
+}
+
+#[test]
 fn a_fleet_recovers_after_a_failed_run() {
     // The fleet keeps its devices across runs, so a run that fails on an
     // oversize chunking (the whole cube as one chunk) must not poison the

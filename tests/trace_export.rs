@@ -94,6 +94,8 @@ fn chrome_export_is_golden_and_tracing_is_pure_observation() {
     let mut stacks: std::collections::BTreeMap<u64, Vec<String>> = Default::default();
     let mut last_ts = f64::MIN;
     let mut chunk_spans = 0usize;
+    let mut chunk_tids = std::collections::BTreeSet::new();
+    let mut row_names: std::collections::BTreeMap<u64, String> = Default::default();
     let mut pack_spans = 0usize;
     let mut stage_spans: std::collections::BTreeMap<String, usize> = Default::default();
 
@@ -105,6 +107,8 @@ fn chrome_export_is_golden_and_tracing_is_pure_observation() {
             // Metadata: process_name on tid 0, thread_name elsewhere.
             if str_field(line, "name") == Some("thread_name") {
                 named_tids.insert(tid);
+                let args = &line[line.find("\"args\":").expect("thread_name has args")..];
+                row_names.insert(tid, str_field(args, "name").unwrap().to_owned());
             }
             continue;
         }
@@ -116,10 +120,11 @@ fn chrome_export_is_golden_and_tracing_is_pure_observation() {
         let cat = str_field(line, "cat").unwrap_or_default().to_owned();
         match ph {
             "B" => {
-                if cat == "pipeline.chunk" {
+                if cat == "fleet.chunk" {
                     chunk_spans += 1;
+                    chunk_tids.insert(tid);
                 }
-                if cat == "pipeline.pack" {
+                if cat == "fleet.pack" {
                     pack_spans += 1;
                 }
                 if cat == "pipeline.stage" {
@@ -152,6 +157,16 @@ fn chrome_export_is_golden_and_tracing_is_pure_observation() {
     // Per-chunk stage structure: all six stages appear once per chunk, and
     // the packer overlapped every chunk after the first.
     assert_eq!(chunk_spans, on.chunks, "one chunk span per chunk");
+    // A single device shades on the calling thread: no device thread, so
+    // every chunk span sits on this test thread's row.
+    let caller = std::thread::current().name().map(str::to_owned);
+    for tid in &chunk_tids {
+        assert_eq!(
+            row_names.get(tid),
+            caller.as_ref(),
+            "chunk span on tid {tid} is not on the calling thread"
+        );
+    }
     for stage in [
         "upload",
         "normalize",
