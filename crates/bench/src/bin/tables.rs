@@ -8,6 +8,7 @@
 //! cargo run --release -p hsi-bench --bin tables -- graph json --unfused
 //! cargo run --release -p hsi-bench --bin tables -- analyze --trace out/trace.json
 //! cargo run --release -p hsi-bench --bin tables -- bench-delta BENCH_results.json bench_current.json
+//! cargo run --release -p hsi-bench --bin tables -- check-trace bench_current.json out/trace.json
 //! ```
 
 use gpu_sim::device::Compiler;
@@ -130,6 +131,13 @@ fn main() {
             };
             run_bench_delta(baseline, current, &thr);
         }
+        "check-trace" => {
+            let [bench, trace_path] = &args[1..] else {
+                eprintln!("usage: tables check-trace <bench.json> <trace.json>");
+                std::process::exit(2);
+            };
+            run_check_trace(bench, trace_path);
+        }
         "fig6" => print!("{}", format_fig6(&time_rows(Compiler::Gcc))),
         "ablations" => print!("{}", format_ablations()),
         "all" => {
@@ -157,7 +165,7 @@ fn main() {
         other => {
             eprintln!("unknown experiment `{other}`");
             eprintln!(
-                "usage: tables [table1|table2|table3|table4|table5|fig5|fig6|ablations|bench|graph|analyze|bench-delta|all]"
+                "usage: tables [table1|table2|table3|table4|table5|fig5|fig6|ablations|bench|graph|analyze|bench-delta|check-trace|all]"
             );
             std::process::exit(2);
         }
@@ -265,20 +273,7 @@ fn run_bench(
 /// critical path, utilization and overlap.
 fn run_analyze(trace_path: Option<&str>) {
     if let Some(tp) = trace_path {
-        let text = match std::fs::read_to_string(tp) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {tp}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let snap = match trace::analyze::import_chrome_trace(&text) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {tp} is not a loadable Chrome trace: {e}");
-                std::process::exit(2);
-            }
-        };
+        let snap = load(tp, trace::analyze::import_chrome_trace);
         print!(
             "{}",
             trace::analyze::render_text(&trace::analyze::analyze(&snap))
@@ -325,30 +320,42 @@ fn run_analyze(trace_path: Option<&str>) {
     print!("{}", trace::analyze::render_text(&analysis));
 }
 
+/// Read and parse a JSON input file; exit 2 naming the file (and, for a
+/// malformed document, the byte offset) when either step fails.
+fn load<T>(path: &str, parse: impl FnOnce(&str) -> Result<T, String>) -> T {
+    let parsed = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {path}: {e}"))
+        .and_then(|text| parse(&text).map_err(|e| format!("{path}: {e}")));
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
 /// Compare two benchmark documents and exit 1 on any failed gate.
 fn run_bench_delta(baseline: &str, current: &str, thr: &hsi_bench::delta::Thresholds) {
-    let load = |path: &str| -> results::BenchRun {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        match results::from_json(&text) {
-            Ok(run) => run,
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    };
-    let baseline_run = load(baseline);
-    let current_run = load(current);
+    let baseline_run = load(baseline, results::from_json);
+    let current_run = load(current, results::from_json);
     let violations = hsi_bench::delta::compare(&baseline_run, &current_run, thr);
     print!("{}", hsi_bench::delta::render(&violations));
     if !violations.is_empty() {
         std::process::exit(1);
+    }
+}
+
+/// Check a bench run's Chrome trace against its bench document and exit 1
+/// on any failed check.
+fn run_check_trace(bench: &str, trace_path: &str) {
+    let run = load(bench, results::from_json);
+    let snap = load(trace_path, trace::analyze::import_chrome_trace);
+    match hsi_bench::delta::check_trace(&run, &snap) {
+        Ok(summary) => println!("{summary}"),
+        Err(failures) => {
+            for f in failures {
+                eprintln!("check-trace: {f}");
+            }
+            std::process::exit(1);
+        }
     }
 }
 

@@ -16,11 +16,18 @@
 //!
 //! Driven by `tables -- bench-delta <baseline> <current>`; exit status 1
 //! means at least one [`Violation`], 2 means usage/IO/schema error.
+//!
+//! [`check_trace`] is the bench-smoke trace gate behind `tables --
+//! check-trace <bench.json> <trace.json>`: the benchmark's Chrome trace must
+//! hold a chunk span per executed chunk, six stage spans per chunk span,
+//! and per-device timeline rows.
 
 use crate::results::{opt_rollup, BenchRun};
 use gpu_sim::device::GpuProfile;
 use gpu_sim::timing;
+use std::collections::BTreeSet;
 use std::fmt;
+use trace::{Phase, TraceSnapshot};
 
 /// Gate thresholds. The defaults encode the repo's CI contract; every field
 /// has a matching `--` override on the `bench-delta` subcommand.
@@ -264,6 +271,57 @@ pub fn render(violations: &[Violation]) -> String {
     s
 }
 
+/// Check the Chrome trace of a `tables -- bench --trace` run against its
+/// bench document. The benchmark executes the pipeline several times (the
+/// headline run, the unfused-oracle arm, the fleet shapes), all through the
+/// one chunk executor: every chunk shaded anywhere emits one `fleet.chunk`
+/// span — on the calling thread for device 0, on its own
+/// `device<i>.<name>` row for devices 1..n — and carries all six
+/// `pipeline.stage` spans. Returns a summary line, or the message of every
+/// failed check.
+pub fn check_trace(run: &BenchRun, snap: &TraceSnapshot) -> Result<String, Vec<String>> {
+    let begins = || snap.events.iter().filter(|e| e.phase == Phase::Begin);
+    let chunk_spans = begins().filter(|e| e.cat == "fleet.chunk").count();
+    let fleet_chunks: u64 = run.fleet.shapes.iter().map(|s| s.chunks).sum();
+    let expected = run.chunks as u64 + fleet_chunks;
+    let mut failures = Vec::new();
+    if (chunk_spans as u64) < expected {
+        failures.push(format!(
+            "{chunk_spans} fleet.chunk spans < {} headline + {fleet_chunks} fleet-shape chunks",
+            run.chunks
+        ));
+    }
+    for (stage, _) in run.stage_wall.as_named() {
+        let n = begins()
+            .filter(|e| e.cat == "pipeline.stage" && e.name == stage)
+            .count();
+        if n != chunk_spans {
+            failures.push(format!(
+                "stage {stage}: {n} spans != {chunk_spans} executed chunks"
+            ));
+        }
+    }
+    let rows: BTreeSet<&str> = snap.threads.iter().map(|(_, n)| n.as_str()).collect();
+    let devices: Vec<&str> = rows
+        .iter()
+        .copied()
+        .filter(|r| r.starts_with("device") && !r.contains("packer"))
+        .collect();
+    if devices.is_empty() {
+        let rows = Vec::from_iter(rows);
+        failures.push(format!("no per-device trace rows in {rows:?}"));
+    }
+    if !failures.is_empty() {
+        return Err(failures);
+    }
+    Ok(format!(
+        "trace OK: {chunk_spans} executed chunks x 6 stage spans \
+         (>= {expected} headline + fleet-shape chunks), device rows {devices:?}, \
+         {} events total",
+        snap.events.len()
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,5 +428,58 @@ mod tests {
         let text = render(&v);
         assert!(text.contains("1 gate(s) FAILED"));
         assert!(text.contains("cpu_tail_wall_s: regressed"));
+    }
+
+    /// A trace of `chunks` chunk spans, each with its six stage spans, on
+    /// the given timeline rows.
+    fn synthetic_trace(chunks: usize, rows: &[&str]) -> TraceSnapshot {
+        let begin = |cat: &'static str, name: &str| trace::Event {
+            ts_ns: 0,
+            tid: 1,
+            phase: Phase::Begin,
+            cat,
+            name: name.to_owned(),
+            args: Vec::new(),
+        };
+        let mut events = Vec::new();
+        for _ in 0..chunks {
+            events.push(begin("fleet.chunk", "chunk"));
+            for (stage, _) in sample_run().stage_wall.as_named() {
+                events.push(begin("pipeline.stage", stage));
+            }
+        }
+        TraceSnapshot {
+            events,
+            threads: (1..).zip(rows.iter().map(|r| r.to_string())).collect(),
+        }
+    }
+
+    #[test]
+    fn check_trace_passes_a_complete_trace_and_names_each_broken_check() {
+        // sample_run: 3 headline chunks plus 4 + 4 in the two fleet shapes.
+        let run = sample_run();
+        let rows = ["main", "device0.packer", "device1.7800gtx"];
+        let ok = check_trace(&run, &synthetic_trace(11, &rows)).expect("complete trace");
+        assert!(ok.starts_with("trace OK: 11 executed chunks"), "{ok}");
+        assert!(ok.contains("[\"device1.7800gtx\"]"), "{ok}");
+
+        let short = check_trace(&run, &synthetic_trace(10, &rows)).unwrap_err();
+        assert_eq!(
+            short,
+            ["10 fleet.chunk spans < 3 headline + 8 fleet-shape chunks"]
+        );
+
+        let mut missing_stage = synthetic_trace(11, &rows);
+        let last_mei = missing_stage.events.iter().rposition(|e| e.name == "mei");
+        missing_stage.events.remove(last_mei.unwrap());
+        let err = check_trace(&run, &missing_stage).unwrap_err();
+        assert_eq!(err, ["stage mei: 10 spans != 11 executed chunks"]);
+
+        let no_devices = synthetic_trace(11, &["main", "device0.packer"]);
+        let err = check_trace(&run, &no_devices).unwrap_err();
+        assert_eq!(
+            err,
+            ["no per-device trace rows in [\"device0.packer\", \"main\"]"]
+        );
     }
 }

@@ -5,9 +5,11 @@
 //! record: host wall-clock seconds for scene generation, the GPU stream
 //! pipeline and the CPU classification tail, the six-stage counter,
 //! wall-clock and modeled-time breakdown, device cache hit-rates, and a
-//! snapshot of the [`trace::metrics`] registry. The JSON is hand-rolled
-//! (the workspace carries no serde); keys are stable so successive
-//! baselines diff cleanly.
+//! snapshot of the [`trace::metrics`] registry. [`to_json`] builds a
+//! [`trace::json::Value`] tree and prints it with the codec's indented
+//! writer, and [`from_json`] reads through the same codec, so names are
+//! escaped and parsed by the workspace's one JSON implementation. Keys are
+//! stable so successive baselines diff cleanly.
 //!
 //! The document carries a `schema_version` and [`from_json`] refuses any
 //! other version, so downstream consumers (the CI bench-smoke comparison)
@@ -15,9 +17,12 @@
 //! [`from_json`] ∘ [`to_json`] is the identity on the serialized form:
 //! derived fields (modeled milliseconds, skew ratios, hit-rates, the
 //! optimizer rollup) are recomputed from the parsed inputs, and every
-//! input field round-trips bit-stably (times at fixed 6-decimal
-//! precision, counters as exact integers — the parser goes through
-//! `f64`, exact up to 2⁵³, far above any counter this workload produces).
+//! input field round-trips bit-stably. Every float is rounded to 6
+//! decimals (`r6`, the document's only precision policy) and printed in
+//! the codec's shortest round-trip form, so `2.0` prints as `2` and
+//! `0.25` as `0.25`; counters print as exact integers (the codec's numbers
+//! are `f64`, exact up to 2⁵³, far above any counter this workload
+//! produces).
 //!
 //! Since schema 3 the document also carries an `opt` block: the
 //! [`opt_rollup`] of the shader optimizer over the six AMC kernels
@@ -49,15 +54,14 @@ use amc_core::pipeline::{GpuAmc, KernelMode, PipelineOutput, StageStats, StageWa
 use gpu_sim::counters::PassStats;
 use gpu_sim::device::GpuProfile;
 use gpu_sim::gpu::Gpu;
-use gpu_sim::opt::InlineMode;
 use gpu_sim::opt::OptCounters;
 use gpu_sim::raster::TexCoordSet;
 use gpu_sim::timing;
 use hsi::classify::{AmcClassifier, AmcConfig, TailBreakdown};
 use hsi_scene::library::indian_pines_classes;
 use hsi_scene::scene::{generate, SceneConfig};
-use std::fmt::Write as _;
 use std::time::Instant;
+use trace::json::{self, Value};
 use trace::metrics::{HistBucket, HistSummary, Snapshot};
 
 /// Version of the `BENCH_results.json` document layout. Bump when keys are
@@ -392,13 +396,6 @@ impl FusionReport {
     }
 }
 
-fn mode_str(mode: InlineMode) -> &'static str {
-    match mode {
-        InlineMode::SubstituteSiteCoord => "substitute-site-coord",
-        InlineMode::KeepProducerCoords => "keep-producer-coords",
-    }
-}
-
 fn norm_dist_fetches(c: &CompiledGraph) -> u64 {
     (c.stage_fetches_per_fragment("normalize") + c.stage_fetches_per_fragment("distance")) as u64
 }
@@ -423,7 +420,7 @@ pub fn fusion_report(
         .expect("unfused AMC graph compiles");
     let mut pairs: Vec<FusionPairRow> = Vec::new();
     for f in &fused.fusions {
-        let mode = mode_str(f.mode);
+        let mode = f.mode.as_str();
         match pairs.iter_mut().find(|p| {
             p.producer_kernel == f.kernels.0 && p.consumer_kernel == f.kernels.1 && p.mode == mode
         }) {
@@ -877,14 +874,21 @@ pub fn run_benchmark_with_devices(seed: u64, extra_shape: Option<&[GpuProfile]>)
     }
 }
 
-/// Round to the serialized 6-decimal precision, exactly as `{:.6}` prints.
-/// Derived values (sums, ratios) are computed from rounded operands so the
-/// document is a fixed point of parse → re-serialize.
+/// Round to the document's 6-decimal precision, exactly as `{:.6}` prints.
+/// This is the document's only precision policy: every float is written as
+/// `r6(x)` in the codec's shortest round-trip form, and derived values are
+/// computed from rounded operands, so the document is a fixed point of
+/// parse → re-serialize.
 fn r6(x: f64) -> f64 {
     format!("{x:.6}").parse().expect("fixed-precision float")
 }
 
-fn stage_json(name: &str, s: &PassStats, wall_s: f64, profile: &GpuProfile) -> String {
+/// A float field at the document's precision.
+fn f6(x: f64) -> Value {
+    Value::Num(r6(x))
+}
+
+fn stage_json(name: &str, s: &PassStats, wall_s: f64, profile: &GpuProfile) -> Value {
     let modeled_ms = timing::gpu_time(s, profile).total_ms();
     let wall_s = r6(wall_s);
     // Measured-over-modeled skew: >1000 means a modeled millisecond costs
@@ -892,726 +896,444 @@ fn stage_json(name: &str, s: &PassStats, wall_s: f64, profile: &GpuProfile) -> S
     // parsed) on round trip. A stage with no modeled time (e.g. upload or
     // download on configs that skip it) has no meaningful ratio — emit
     // `null`, never a `0.0` that reads as "perfectly modeled".
-    let skew = if modeled_ms > 0.0 {
-        format!("{:.6}", wall_s * 1e3 / modeled_ms)
+    let skew = (modeled_ms > 0.0).then(|| f6(wall_s * 1e3 / modeled_ms));
+    Value::object([
+        ("stage", name.into()),
+        ("passes", s.passes.into()),
+        ("fragments", s.fragments.into()),
+        ("instructions", s.instructions.into()),
+        ("texel_fetches", s.texel_fetches.into()),
+        ("cache_hits", s.cache_hits.into()),
+        ("cache_misses", s.cache_misses.into()),
+        ("tiles", s.tiles.into()),
+        ("bytes_written", s.bytes_written.into()),
+        ("bytes_uploaded", s.bytes_uploaded.into()),
+        ("bytes_downloaded", s.bytes_downloaded.into()),
+        ("wall_s", wall_s.into()),
+        ("modeled_ms", f6(modeled_ms)),
+        ("wall_over_modeled", skew.into()),
+    ])
+}
+
+/// The `opt` block. Per-kernel static counts are constants of the tree,
+/// dynamic attributions derive from the stage counters, and only the
+/// microbench walls are measured inputs (everything else is recomputed on a
+/// parse → re-serialize round trip).
+fn opt_json(run: &BenchRun, profile: &GpuProfile) -> Value {
+    let rollup = opt_rollup(run);
+    let total = run.stages.total();
+    // Modeled kernel time had the raw programs been shaded: the run's
+    // instruction total plus exactly the instructions the optimizer removed.
+    let mut raw_total = total;
+    raw_total.instructions = total.instructions + (rollup.dynamic_raw() - rollup.dynamic_opt());
+    let kernels = rollup.kernels.iter().map(|k| {
+        Value::object([
+            ("kernel", k.name.as_str().into()),
+            ("raw_instructions", k.raw_instructions.into()),
+            ("opt_instructions", k.opt_instructions.into()),
+            ("passes", k.passes.into()),
+            ("fragments", k.fragments.into()),
+            ("dynamic_raw", k.dynamic_raw().into()),
+            ("dynamic_opt", k.dynamic_opt().into()),
+            ("reduction_pct", f6(k.reduction_pct())),
+        ])
+    });
+    let eliminated = rollup
+        .counters
+        .entries()
+        .map(|(label, n)| (label, n.into()));
+    Value::object([
+        ("kernels", kernels.collect()),
+        ("dynamic_instructions_raw", rollup.dynamic_raw().into()),
+        ("dynamic_instructions_opt", rollup.dynamic_opt().into()),
+        ("dynamic_reduction_pct", f6(rollup.reduction_pct())),
+        ("eliminated", Value::object(eliminated)),
+        (
+            "modeled_kernel_ms_raw_7800gtx",
+            f6(timing::gpu_time(&raw_total, profile).kernel_ms()),
+        ),
+        (
+            "modeled_kernel_ms_opt_7800gtx",
+            f6(timing::gpu_time(&total, profile).kernel_ms()),
+        ),
+        (
+            "isa_microbench",
+            Value::object([
+                ("wall_raw_s", f6(run.opt_wall_raw_s)),
+                ("wall_opt_s", f6(run.opt_wall_opt_s)),
+            ]),
+        ),
+    ])
+}
+
+/// The `fusion` block. The pairs, pass counts, static per-fragment fetches
+/// and the unfused-arm counters are inputs; both reduction percentages are
+/// derived and recomputed on a round trip.
+fn fusion_json(run: &BenchRun) -> Value {
+    let f = &run.fusion;
+    let pairs = f.pairs.iter().map(|p| {
+        Value::object([
+            ("producer_kernel", p.producer_kernel.as_str().into()),
+            ("consumer_kernel", p.consumer_kernel.as_str().into()),
+            ("mode", p.mode.as_str().into()),
+            ("count", p.count.into()),
+            ("sites", p.sites.into()),
+            ("fetches_before", p.fetches_before.into()),
+            ("fetches_after", p.fetches_after.into()),
+        ])
+    });
+    let fused_norm_dist = run.stages.normalize.texel_fetches + run.stages.distance.texel_fetches;
+    Value::object([
+        ("enabled", f.enabled.into()),
+        ("pairs", pairs.collect()),
+        ("eliminated_passes", f.eliminated_passes.into()),
+        ("fused_passes", f.fused_passes.into()),
+        ("unfused_passes", f.unfused_passes.into()),
+        (
+            "normalize_distance_fetches_per_fragment",
+            Value::object([
+                ("fused", f.fused_fetches_per_fragment.into()),
+                ("unfused", f.unfused_fetches_per_fragment.into()),
+            ]),
+        ),
+        (
+            "static_fetch_reduction_pct",
+            f6(f.static_fetch_reduction_pct()),
+        ),
+        ("zero_fill_skips", f.zero_fill_skips.into()),
+        (
+            "unfused_arm",
+            Value::object([
+                (
+                    "normalize_texel_fetches",
+                    f.unfused_normalize_texel_fetches.into(),
+                ),
+                (
+                    "distance_texel_fetches",
+                    f.unfused_distance_texel_fetches.into(),
+                ),
+                ("distance_wall_s", f6(f.unfused_distance_wall_s)),
+            ]),
+        ),
+        (
+            "measured_fetch_reduction_pct",
+            f6(f.measured_fetch_reduction_pct(fused_norm_dist)),
+        ),
+    ])
+}
+
+/// The `fleet` block. The chunk plan, the single-device modeled baseline
+/// and per-shape runs with per-device placement/execution rows are inputs;
+/// every `modeled_speedup` is derived from the (rounded) baseline and
+/// makespan and recomputed on a round trip.
+fn fleet_json(fl: &FleetReport) -> Value {
+    let shapes = fl.shapes.iter().map(|shape| {
+        let speedup = FleetShapeRun {
+            modeled_makespan_s: r6(shape.modeled_makespan_s),
+            ..shape.clone()
+        }
+        .modeled_speedup(r6(fl.baseline_modeled_s));
+        let devices = shape.devices.iter().map(|d| {
+            Value::object([
+                ("device", d.device.as_str().into()),
+                ("planned", d.planned.iter().copied().collect()),
+                ("executed", d.executed.iter().copied().collect()),
+                ("steals", d.steals.into()),
+                ("modeled_s", f6(d.modeled_s)),
+                ("wall_s", f6(d.wall_s)),
+            ])
+        });
+        Value::object([
+            ("name", shape.name.as_str().into()),
+            ("chunks", shape.chunks.into()),
+            ("steals", shape.steals.into()),
+            ("modeled_makespan_s", f6(shape.modeled_makespan_s)),
+            ("modeled_speedup", f6(speedup)),
+            ("wall_s", f6(shape.wall_s)),
+            ("devices", devices.collect()),
+        ])
+    });
+    Value::object([
+        (
+            "chunking",
+            Value::object([
+                ("lines_per_chunk", fl.lines_per_chunk.into()),
+                ("halo", fl.halo.into()),
+            ]),
+        ),
+        ("baseline_device", fl.baseline_device.as_str().into()),
+        ("baseline_modeled_s", f6(fl.baseline_modeled_s)),
+        ("shapes", shapes.collect()),
+    ])
+}
+
+/// One `analysis` arm. Shares, utilizations, the pack overlap efficiency
+/// and the load balance are derived from the rounded operands, so they are
+/// recomputed (never parsed) on a round trip.
+fn analysis_arm_json(arm: &AnalysisArm) -> Value {
+    let wall = r6(arm.wall_s);
+    let cp = r6(arm.critical_path_s);
+    // Share of the arm's wall clock the critical path explains; a zero-wall
+    // arm trivially has a full-share path.
+    let share = if wall > 0.0 {
+        (cp / wall).clamp(0.0, 1.0)
     } else {
-        "null".to_owned()
+        1.0
     };
-    format!(
-        "    {{\"stage\": \"{name}\", \"passes\": {}, \"fragments\": {}, \
-         \"instructions\": {}, \"texel_fetches\": {}, \"cache_hits\": {}, \
-         \"cache_misses\": {}, \"tiles\": {}, \"bytes_written\": {}, \
-         \"bytes_uploaded\": {}, \"bytes_downloaded\": {}, \
-         \"wall_s\": {:.6}, \"modeled_ms\": {:.6}, \
-         \"wall_over_modeled\": {skew}}}",
-        s.passes,
-        s.fragments,
-        s.instructions,
-        s.texel_fetches,
-        s.cache_hits,
-        s.cache_misses,
-        s.tiles,
-        s.bytes_written,
-        s.bytes_uploaded,
-        s.bytes_downloaded,
-        wall_s,
-        modeled_ms,
-    )
+    let utilization = |busy_s: f64, over: f64| {
+        if over > 0.0 {
+            (r6(busy_s) / over).clamp(0.0, 1.0)
+        } else {
+            0.0
+        }
+    };
+    let rounded_arm = AnalysisArm {
+        pack_total_s: r6(arm.pack_total_s),
+        pack_hidden_s: r6(arm.pack_hidden_s),
+        ..arm.clone()
+    };
+    let cp_stages = arm.critical_path_stages.iter().map(|(stage, self_s)| {
+        Value::object([("stage", stage.as_str().into()), ("self_s", f6(*self_s))])
+    });
+    let threads = arm.threads.iter().map(|t| {
+        Value::object([
+            ("name", t.name.as_str().into()),
+            ("busy_s", f6(t.busy_s)),
+            ("utilization", f6(utilization(t.busy_s, wall))),
+        ])
+    });
+    let fleet = arm.fleet.as_ref().map(|f| {
+        let makespan = r6(f.makespan_s);
+        let rounded_fleet = AnalysisFleet {
+            makespan_s: makespan,
+            steals: f.steals,
+            devices: f
+                .devices
+                .iter()
+                .map(|d| AnalysisDevice {
+                    busy_s: r6(d.busy_s),
+                    ..d.clone()
+                })
+                .collect(),
+        };
+        let devices = f.devices.iter().map(|d| {
+            Value::object([
+                ("device", d.device.into()),
+                ("label", d.label.as_str().into()),
+                ("chunks", d.chunks.into()),
+                ("stolen", d.stolen.into()),
+                ("busy_s", f6(d.busy_s)),
+                ("utilization", f6(utilization(d.busy_s, makespan))),
+            ])
+        });
+        Value::object([
+            ("makespan_s", f6(f.makespan_s)),
+            ("steals", f.steals.into()),
+            ("load_balance", f6(rounded_fleet.load_balance())),
+            ("devices", devices.collect()),
+        ])
+    });
+    Value::object([
+        ("name", arm.name.as_str().into()),
+        ("wall_s", f6(arm.wall_s)),
+        ("critical_path_s", f6(arm.critical_path_s)),
+        ("critical_path_nodes", arm.critical_path_nodes.into()),
+        ("critical_path_share", f6(share)),
+        ("critical_path_stages", cp_stages.collect()),
+        (
+            "pack",
+            Value::object([
+                ("total_s", f6(arm.pack_total_s)),
+                ("hidden_s", f6(arm.pack_hidden_s)),
+                (
+                    "overlap_efficiency",
+                    f6(rounded_arm.pack_overlap_efficiency()),
+                ),
+            ]),
+        ),
+        (
+            "bus",
+            Value::object([
+                ("busy_s", f6(arm.bus_busy_s)),
+                ("contended_s", f6(arm.bus_contended_s)),
+            ]),
+        ),
+        ("threads", threads.collect()),
+        ("fleet", fleet.into()),
+    ])
+}
+
+/// The `metrics` block: the derived cache hit-rates, then the registry
+/// snapshot's counters and histograms.
+fn metrics_json(run: &BenchRun) -> Value {
+    let c = &run.gpu_caches;
+    let counters = run.metrics.counters.iter().map(|(name, value)| {
+        Value::object([("name", name.as_str().into()), ("value", (*value).into())])
+    });
+    let histograms = run.metrics.histograms.iter().map(|(name, h)| {
+        let buckets = h.buckets.iter().map(|b| {
+            Value::object([
+                ("lo_ns", b.lo_ns.into()),
+                ("hi_ns", b.hi_ns.into()),
+                ("count", b.count.into()),
+            ])
+        });
+        Value::object([
+            ("name", name.as_str().into()),
+            ("count", h.count.into()),
+            ("sum_ns", h.sum_ns.into()),
+            ("p50_ns", h.p50_ns.into()),
+            ("p95_ns", h.p95_ns.into()),
+            ("p99_ns", h.p99_ns.into()),
+            ("buckets", buckets.collect()),
+        ])
+    });
+    Value::object([
+        (
+            "cache_hit_rates",
+            Value::object([
+                ("verify", f6(c.verify_hit_rate())),
+                ("lower", f6(c.lower_hit_rate())),
+                ("texture_pool", f6(c.pool_hit_rate())),
+            ]),
+        ),
+        ("counters", counters.collect()),
+        ("histograms", histograms.collect()),
+    ])
 }
 
 /// Render a [`BenchRun`] as the `BENCH_results.json` document.
 pub fn to_json(run: &BenchRun) -> String {
     let profile = GpuProfile::geforce_7800gtx();
-    let total = run.stages.total();
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(s, "  \"benchmark\": \"amc_end_to_end\",");
-    let _ = writeln!(s, "  \"kernel_mode\": \"{}\",", run.kernel_mode);
-    let _ = writeln!(s, "  \"seed\": {},", run.seed);
-    let _ = writeln!(s, "  \"threads\": {},", run.threads);
-    let _ = writeln!(
-        s,
-        "  \"scene\": {{\"width\": {}, \"height\": {}, \"bands\": {}}},",
-        run.dims.0, run.dims.1, run.dims.2
-    );
-    let _ = writeln!(s, "  \"scene_generation_s\": {:.6},", run.scene_s);
-    let _ = writeln!(s, "  \"gpu_pipeline_wall_s\": {:.6},", run.gpu_pipeline_s);
-    let _ = writeln!(s, "  \"cpu_tail_wall_s\": {:.6},", run.cpu_tail_s);
-    // Tail stage breakdown mirroring the GPU `stages` array. selection_s and
-    // classify_s are wall clock; unmix_s and argmax_s are worker-summed CPU
-    // seconds from the batched kernels (equal to wall at threads=1).
-    let _ = writeln!(
-        s,
-        "  \"cpu_tail_stages\": {{\"selection_s\": {:.6}, \"unmix_s\": {:.6}, \
-         \"classify_s\": {:.6}, \"argmax_s\": {:.6}}},",
-        run.tail.selection_s, run.tail.unmix_s, run.tail.classify_s, run.tail.argmax_s
-    );
-    let _ = writeln!(
-        s,
-        "  \"amc_wall_s\": {:.6},",
-        r6(run.gpu_pipeline_s) + r6(run.cpu_tail_s)
-    );
-    let _ = writeln!(s, "  \"chunks\": {},", run.chunks);
-    let _ = writeln!(s, "  \"endmembers\": {},", run.endmembers);
-    let _ = writeln!(
-        s,
-        "  \"modeled_kernel_ms_7800gtx\": {:.6},",
-        timing::gpu_time(&total, &profile).kernel_ms()
-    );
-    s.push_str("  \"stages\": [\n");
-    let walls = run.stage_wall.as_named();
-    let stages: [(&str, &PassStats); 6] = [
-        ("upload", &run.stages.upload),
-        ("normalize", &run.stages.normalize),
-        ("distance", &run.stages.distance),
-        ("minmax", &run.stages.minmax),
-        ("mei", &run.stages.mei),
-        ("download", &run.stages.download),
+    let stages: [&PassStats; 6] = [
+        &run.stages.upload,
+        &run.stages.normalize,
+        &run.stages.distance,
+        &run.stages.minmax,
+        &run.stages.mei,
+        &run.stages.download,
     ];
-    for (i, (name, stats)) in stages.iter().enumerate() {
-        debug_assert_eq!(*name, walls[i].0, "stage order mismatch");
-        s.push_str(&stage_json(name, stats, walls[i].1, &profile));
-        s.push_str(if i + 1 < stages.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
-    // Optimizer rollup: per-kernel static counts are constants of the tree,
-    // dynamic attributions derive from the stage counters above, and only
-    // the microbench walls are measured inputs (everything else is
-    // recomputed on a parse → re-serialize round trip).
-    let rollup = opt_rollup(run);
-    s.push_str("  \"opt\": {\n    \"kernels\": [\n");
-    for (i, k) in rollup.kernels.iter().enumerate() {
-        let _ = write!(
-            s,
-            "      {{\"kernel\": \"{}\", \"raw_instructions\": {}, \
-             \"opt_instructions\": {}, \"passes\": {}, \"fragments\": {}, \
-             \"dynamic_raw\": {}, \"dynamic_opt\": {}, \
-             \"reduction_pct\": {:.6}}}",
-            k.name,
-            k.raw_instructions,
-            k.opt_instructions,
-            k.passes,
-            k.fragments,
-            k.dynamic_raw(),
-            k.dynamic_opt(),
-            k.reduction_pct()
-        );
-        s.push_str(if i + 1 < rollup.kernels.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    s.push_str("    ],\n");
-    let _ = writeln!(
-        s,
-        "    \"dynamic_instructions_raw\": {},",
-        rollup.dynamic_raw()
-    );
-    let _ = writeln!(
-        s,
-        "    \"dynamic_instructions_opt\": {},",
-        rollup.dynamic_opt()
-    );
-    let _ = writeln!(
-        s,
-        "    \"dynamic_reduction_pct\": {:.6},",
-        rollup.reduction_pct()
-    );
-    s.push_str("    \"eliminated\": {");
-    for (i, (label, count)) in rollup.counters.entries().iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(s, "\"{label}\": {count}");
-    }
-    s.push_str("},\n");
-    // Modeled kernel time had the raw programs been shaded: the run's
-    // instruction total plus exactly the instructions the optimizer removed.
-    let mut raw_total = total;
-    raw_total.instructions = total.instructions + (rollup.dynamic_raw() - rollup.dynamic_opt());
-    let _ = writeln!(
-        s,
-        "    \"modeled_kernel_ms_raw_7800gtx\": {:.6},",
-        timing::gpu_time(&raw_total, &profile).kernel_ms()
-    );
-    let _ = writeln!(
-        s,
-        "    \"modeled_kernel_ms_opt_7800gtx\": {:.6},",
-        timing::gpu_time(&total, &profile).kernel_ms()
-    );
-    let _ = writeln!(
-        s,
-        "    \"isa_microbench\": {{\"wall_raw_s\": {:.6}, \"wall_opt_s\": {:.6}}}",
-        run.opt_wall_raw_s, run.opt_wall_opt_s
-    );
-    s.push_str("  },\n");
-    // Fusion attribution: the pairs, pass counts, static per-fragment
-    // fetches and the unfused-arm counters are inputs; both reduction
-    // percentages are derived and recomputed on a round trip.
-    let f = &run.fusion;
-    s.push_str("  \"fusion\": {\n");
-    let _ = writeln!(s, "    \"enabled\": {},", f.enabled);
-    s.push_str("    \"pairs\": [\n");
-    for (i, p) in f.pairs.iter().enumerate() {
-        let _ = write!(
-            s,
-            "      {{\"producer_kernel\": \"{}\", \"consumer_kernel\": \"{}\", \
-             \"mode\": \"{}\", \"count\": {}, \"sites\": {}, \
-             \"fetches_before\": {}, \"fetches_after\": {}}}",
-            p.producer_kernel,
-            p.consumer_kernel,
-            p.mode,
-            p.count,
-            p.sites,
-            p.fetches_before,
-            p.fetches_after
-        );
-        s.push_str(if i + 1 < f.pairs.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("    ],\n");
-    let _ = writeln!(s, "    \"eliminated_passes\": {},", f.eliminated_passes);
-    let _ = writeln!(s, "    \"fused_passes\": {},", f.fused_passes);
-    let _ = writeln!(s, "    \"unfused_passes\": {},", f.unfused_passes);
-    let _ = writeln!(
-        s,
-        "    \"normalize_distance_fetches_per_fragment\": \
-         {{\"fused\": {}, \"unfused\": {}}},",
-        f.fused_fetches_per_fragment, f.unfused_fetches_per_fragment
-    );
-    let _ = writeln!(
-        s,
-        "    \"static_fetch_reduction_pct\": {:.6},",
-        f.static_fetch_reduction_pct()
-    );
-    let _ = writeln!(s, "    \"zero_fill_skips\": {},", f.zero_fill_skips);
-    let _ = writeln!(
-        s,
-        "    \"unfused_arm\": {{\"normalize_texel_fetches\": {}, \
-         \"distance_texel_fetches\": {}, \"distance_wall_s\": {:.6}}},",
-        f.unfused_normalize_texel_fetches,
-        f.unfused_distance_texel_fetches,
-        f.unfused_distance_wall_s
-    );
-    let _ = writeln!(
-        s,
-        "    \"measured_fetch_reduction_pct\": {:.6}",
-        f.measured_fetch_reduction_pct(
-            run.stages.normalize.texel_fetches + run.stages.distance.texel_fetches
-        )
-    );
-    s.push_str("  },\n");
-    // Fleet scaling: the chunk plan, the single-device modeled baseline and
-    // per-shape runs with per-device placement/execution rows are inputs;
-    // every `modeled_speedup` is derived from the (rounded) baseline and
-    // makespan and recomputed on a round trip.
-    let fl = &run.fleet;
-    s.push_str("  \"fleet\": {\n");
-    let _ = writeln!(
-        s,
-        "    \"chunking\": {{\"lines_per_chunk\": {}, \"halo\": {}}},",
-        fl.lines_per_chunk, fl.halo
-    );
-    let _ = writeln!(s, "    \"baseline_device\": \"{}\",", fl.baseline_device);
-    let _ = writeln!(
-        s,
-        "    \"baseline_modeled_s\": {:.6},",
-        fl.baseline_modeled_s
-    );
-    s.push_str("    \"shapes\": [\n");
-    let idx_list = |idx: &[u64]| {
-        let mut out = String::from("[");
-        for (i, v) in idx.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{v}");
-        }
-        out.push(']');
-        out
-    };
-    for (i, shape) in fl.shapes.iter().enumerate() {
-        let _ = writeln!(s, "      {{\"name\": \"{}\",", shape.name);
-        let _ = writeln!(s, "       \"chunks\": {},", shape.chunks);
-        let _ = writeln!(s, "       \"steals\": {},", shape.steals);
-        let _ = writeln!(
-            s,
-            "       \"modeled_makespan_s\": {:.6},",
-            shape.modeled_makespan_s
-        );
-        let _ = writeln!(
-            s,
-            "       \"modeled_speedup\": {:.6},",
-            FleetShapeRun {
-                modeled_makespan_s: r6(shape.modeled_makespan_s),
-                ..shape.clone()
-            }
-            .modeled_speedup(r6(fl.baseline_modeled_s))
-        );
-        let _ = writeln!(s, "       \"wall_s\": {:.6},", shape.wall_s);
-        s.push_str("       \"devices\": [\n");
-        for (j, d) in shape.devices.iter().enumerate() {
-            let _ = write!(
-                s,
-                "         {{\"device\": \"{}\", \"planned\": {}, \
-                 \"executed\": {}, \"steals\": {}, \"modeled_s\": {:.6}, \
-                 \"wall_s\": {:.6}}}",
-                d.device,
-                idx_list(&d.planned),
-                idx_list(&d.executed),
-                d.steals,
-                d.modeled_s,
-                d.wall_s
-            );
-            s.push_str(if j + 1 < shape.devices.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("       ]}");
-        s.push_str(if i + 1 < fl.shapes.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("    ]\n  },\n");
-    s.push_str("  \"analysis\": {\n    \"arms\": [");
-    for (i, arm) in run.analysis.arms.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let wall = r6(arm.wall_s);
-        let cp = r6(arm.critical_path_s);
-        // Share of the arm's wall clock the critical path explains. Derived
-        // from the rounded operands, so recomputed (never parsed) on a
-        // round trip; a zero-wall arm trivially has a full-share path.
-        let share = if wall > 0.0 {
-            (cp / wall).clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
-        let _ = write!(
-            s,
-            "\n      {{\"name\": \"{}\", \"wall_s\": {:.6}, \
-             \"critical_path_s\": {:.6}, \"critical_path_nodes\": {}, \
-             \"critical_path_share\": {:.6},\n       \"critical_path_stages\": [",
-            arm.name, arm.wall_s, arm.critical_path_s, arm.critical_path_nodes, share
-        );
-        for (j, (stage, self_s)) in arm.critical_path_stages.iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "{{\"stage\": \"{stage}\", \"self_s\": {self_s:.6}}}");
-        }
-        let rounded_arm = AnalysisArm {
-            pack_total_s: r6(arm.pack_total_s),
-            pack_hidden_s: r6(arm.pack_hidden_s),
-            ..arm.clone()
-        };
-        let _ = write!(
-            s,
-            "],\n       \"pack\": {{\"total_s\": {:.6}, \"hidden_s\": {:.6}, \
-             \"overlap_efficiency\": {:.6}}},\n       \
-             \"bus\": {{\"busy_s\": {:.6}, \"contended_s\": {:.6}}},\n       \
-             \"threads\": [",
-            arm.pack_total_s,
-            arm.pack_hidden_s,
-            rounded_arm.pack_overlap_efficiency(),
-            arm.bus_busy_s,
-            arm.bus_contended_s
-        );
-        for (j, t) in arm.threads.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            let util = if wall > 0.0 {
-                (r6(t.busy_s) / wall).clamp(0.0, 1.0)
-            } else {
-                0.0
-            };
-            let _ = write!(
-                s,
-                "\n         {{\"name\": \"{}\", \"busy_s\": {:.6}, \"utilization\": {:.6}}}",
-                t.name, t.busy_s, util
-            );
-        }
-        s.push_str(if arm.threads.is_empty() {
-            "],\n"
-        } else {
-            "\n       ],\n"
-        });
-        match &arm.fleet {
-            None => s.push_str("       \"fleet\": null}"),
-            Some(f) => {
-                let makespan = r6(f.makespan_s);
-                let rounded_fleet = AnalysisFleet {
-                    makespan_s: makespan,
-                    steals: f.steals,
-                    devices: f
-                        .devices
-                        .iter()
-                        .map(|d| AnalysisDevice {
-                            busy_s: r6(d.busy_s),
-                            ..d.clone()
-                        })
-                        .collect(),
-                };
-                let _ = write!(
-                    s,
-                    "       \"fleet\": {{\"makespan_s\": {:.6}, \"steals\": {}, \
-                     \"load_balance\": {:.6},\n        \"devices\": [",
-                    f.makespan_s,
-                    f.steals,
-                    rounded_fleet.load_balance()
-                );
-                for (j, d) in f.devices.iter().enumerate() {
-                    if j > 0 {
-                        s.push(',');
-                    }
-                    let util = if makespan > 0.0 {
-                        (r6(d.busy_s) / makespan).clamp(0.0, 1.0)
-                    } else {
-                        0.0
-                    };
-                    let _ = write!(
-                        s,
-                        "\n          {{\"device\": {}, \"label\": \"{}\", \
-                         \"chunks\": {}, \"stolen\": {}, \"busy_s\": {:.6}, \
-                         \"utilization\": {:.6}}}",
-                        d.device, d.label, d.chunks, d.stolen, d.busy_s, util
-                    );
-                }
-                s.push_str(if f.devices.is_empty() {
-                    "]}}"
-                } else {
-                    "\n        ]}}"
-                });
-            }
-        }
-    }
-    s.push_str(if run.analysis.arms.is_empty() {
-        "]\n  },\n"
-    } else {
-        "\n    ]\n  },\n"
-    });
+    let stages = stages
+        .into_iter()
+        .zip(run.stage_wall.as_named())
+        .map(|(stats, (name, wall_s))| stage_json(name, stats, wall_s, &profile));
+    let amc_wall_s = r6(run.gpu_pipeline_s) + r6(run.cpu_tail_s);
+    let modeled_ms = timing::gpu_time(&run.stages.total(), &profile).kernel_ms();
+    let arms = run.analysis.arms.iter().map(analysis_arm_json);
     let c = &run.gpu_caches;
-    let _ = writeln!(
-        s,
-        "  \"gpu_caches\": {{\"verify_runs\": {}, \"verify_cache_hits\": {}, \
-         \"lower_runs\": {}, \"lower_cache_hits\": {}, \"pool_hits\": {}, \
-         \"texture_allocs\": {}}},",
-        c.verify_runs,
-        c.verify_cache_hits,
-        c.lower_runs,
-        c.lower_cache_hits,
-        c.pool_hits,
-        c.texture_allocs
-    );
-    s.push_str("  \"metrics\": {\n");
-    let _ = writeln!(
-        s,
-        "    \"cache_hit_rates\": {{\"verify\": {:.6}, \"lower\": {:.6}, \
-         \"texture_pool\": {:.6}}},",
-        c.verify_hit_rate(),
-        c.lower_hit_rate(),
-        c.pool_hit_rate()
-    );
-    s.push_str("    \"counters\": [");
-    for (i, (name, value)) in run.metrics.counters.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\n      {{\"name\": \"{name}\", \"value\": {value}}}");
-    }
-    s.push_str(if run.metrics.counters.is_empty() {
-        "],\n"
-    } else {
-        "\n    ],\n"
-    });
-    s.push_str("    \"histograms\": [");
-    for (i, (name, h)) in run.metrics.histograms.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "\n      {{\"name\": \"{name}\", \"count\": {}, \"sum_ns\": {}, \
-             \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"buckets\": [",
-            h.count, h.sum_ns, h.p50_ns, h.p95_ns, h.p99_ns
-        );
-        for (j, b) in h.buckets.iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(
-                s,
-                "{{\"lo_ns\": {}, \"hi_ns\": {}, \"count\": {}}}",
-                b.lo_ns, b.hi_ns, b.count
-            );
-        }
-        s.push_str("]}");
-    }
-    s.push_str(if run.metrics.histograms.is_empty() {
-        "]\n"
-    } else {
-        "\n    ]\n"
-    });
-    s.push_str("  }\n}\n");
-    s
+    Value::object([
+        ("schema_version", SCHEMA_VERSION.into()),
+        ("benchmark", "amc_end_to_end".into()),
+        ("kernel_mode", run.kernel_mode.as_str().into()),
+        ("seed", run.seed.into()),
+        ("threads", run.threads.into()),
+        (
+            "scene",
+            Value::object([
+                ("width", run.dims.0.into()),
+                ("height", run.dims.1.into()),
+                ("bands", run.dims.2.into()),
+            ]),
+        ),
+        ("scene_generation_s", f6(run.scene_s)),
+        ("gpu_pipeline_wall_s", f6(run.gpu_pipeline_s)),
+        ("cpu_tail_wall_s", f6(run.cpu_tail_s)),
+        // Tail stage breakdown mirroring the GPU `stages` array. selection_s
+        // and classify_s are wall clock; unmix_s and argmax_s are
+        // worker-summed CPU seconds from the batched kernels (equal to wall
+        // at threads=1).
+        (
+            "cpu_tail_stages",
+            Value::object([
+                ("selection_s", f6(run.tail.selection_s)),
+                ("unmix_s", f6(run.tail.unmix_s)),
+                ("classify_s", f6(run.tail.classify_s)),
+                ("argmax_s", f6(run.tail.argmax_s)),
+            ]),
+        ),
+        ("amc_wall_s", f6(amc_wall_s)),
+        ("chunks", run.chunks.into()),
+        ("endmembers", run.endmembers.into()),
+        ("modeled_kernel_ms_7800gtx", f6(modeled_ms)),
+        ("stages", stages.collect()),
+        ("opt", opt_json(run, &profile)),
+        ("fusion", fusion_json(run)),
+        ("fleet", fleet_json(&run.fleet)),
+        ("analysis", Value::object([("arms", arms.collect())])),
+        (
+            "gpu_caches",
+            Value::object([
+                ("verify_runs", c.verify_runs.into()),
+                ("verify_cache_hits", c.verify_cache_hits.into()),
+                ("lower_runs", c.lower_runs.into()),
+                ("lower_cache_hits", c.lower_cache_hits.into()),
+                ("pool_hits", c.pool_hits.into()),
+                ("texture_allocs", c.texture_allocs.into()),
+            ]),
+        ),
+        ("metrics", metrics_json(run)),
+    ])
+    .to_pretty()
 }
 
 // ---------------------------------------------------------------------------
-// Parsing (round-trip serde without serde)
+// Parsing (through the `trace::json` codec)
 // ---------------------------------------------------------------------------
-
-/// Minimal JSON value for [`from_json`]. Numbers go through `f64`: exact
-/// for the integers this document carries (all far below 2⁵³).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    /// `null`, `true`/`false` — accepted but unused by this schema.
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
 
 type ParseResult<T> = std::result::Result<T, String>;
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err<T>(&self, what: &str) -> ParseResult<T> {
-        Err(format!("{what} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> ParseResult<()> {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(&format!("expected '{}'", c as char))
-        }
-    }
-
-    fn value(&mut self) -> ParseResult<Json> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => self.err("expected a JSON value"),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> ParseResult<Json> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            self.err(&format!("expected '{lit}'"))
-        }
-    }
-
-    fn number(&mut self) -> ParseResult<Json> {
-        self.skip_ws();
-        let start = self.pos;
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|t| t.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> ParseResult<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return self.err("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32);
-                            match hex {
-                                Some(c) => {
-                                    out.push(c);
-                                    self.pos += 4;
-                                }
-                                None => return self.err("bad \\u escape"),
-                            }
-                        }
-                        _ => return self.err("bad escape"),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through verbatim.
-                    let rest = &self.bytes[self.pos..];
-                    let c = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid utf-8".to_string())?
-                        .chars()
-                        .next()
-                        .expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> ParseResult<Json> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return self.err("expected ',' or ']'"),
-            }
-        }
-    }
-
-    fn object(&mut self) -> ParseResult<Json> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return self.err("expected ',' or '}'"),
-            }
-        }
-    }
+fn field<'a>(v: &'a Value, key: &str) -> ParseResult<&'a Value> {
+    v.get(key).ok_or_else(|| format!("missing key \"{key}\""))
 }
 
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> ParseResult<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing key \"{key}\"")),
-            _ => Err(format!("expected object for key \"{key}\"")),
-        }
-    }
-
-    fn num(&self) -> ParseResult<f64> {
-        match self {
-            Json::Num(n) => Ok(*n),
-            _ => Err("expected number".into()),
-        }
-    }
-
-    fn u64(&self) -> ParseResult<u64> {
-        let n = self.num()?;
-        if n >= 0.0 && n.fract() == 0.0 {
-            Ok(n as u64)
-        } else {
-            Err(format!("expected unsigned integer, got {n}"))
-        }
-    }
-
-    fn str(&self) -> ParseResult<&str> {
-        match self {
-            Json::Str(s) => Ok(s),
-            _ => Err("expected string".into()),
-        }
-    }
-
-    fn bool(&self) -> ParseResult<bool> {
-        match self {
-            Json::Bool(b) => Ok(*b),
-            _ => Err("expected boolean".into()),
-        }
-    }
-
-    fn arr(&self) -> ParseResult<&[Json]> {
-        match self {
-            Json::Arr(items) => Ok(items),
-            _ => Err("expected array".into()),
-        }
-    }
+fn typed<'a, T>(
+    v: &'a Value,
+    key: &str,
+    what: &str,
+    read: impl FnOnce(&'a Value) -> Option<T>,
+) -> ParseResult<T> {
+    read(field(v, key)?).ok_or_else(|| format!("key \"{key}\": expected {what}"))
 }
 
-fn pass_stats_from(v: &Json) -> ParseResult<PassStats> {
+fn num(v: &Value, key: &str) -> ParseResult<f64> {
+    typed(v, key, "a number", Value::as_f64)
+}
+
+fn uint(v: &Value, key: &str) -> ParseResult<u64> {
+    typed(v, key, "an unsigned integer", Value::as_u64)
+}
+
+fn string(v: &Value, key: &str) -> ParseResult<String> {
+    typed(v, key, "a string", |x| x.as_str().map(str::to_owned))
+}
+
+fn list<'a>(v: &'a Value, key: &str) -> ParseResult<&'a [Value]> {
+    typed(v, key, "an array", Value::as_array)
+}
+
+/// The array at `key`, each item read by `row`.
+fn rows<T>(v: &Value, key: &str, row: impl Fn(&Value) -> ParseResult<T>) -> ParseResult<Vec<T>> {
+    list(v, key)?.iter().map(row).collect()
+}
+
+fn uints(v: &Value, key: &str) -> ParseResult<Vec<u64>> {
+    typed(v, key, "unsigned integers", |x| {
+        x.as_array()?.iter().map(Value::as_u64).collect()
+    })
+}
+
+fn pass_stats_from(v: &Value) -> ParseResult<PassStats> {
     Ok(PassStats {
-        fragments: v.get("fragments")?.u64()?,
-        instructions: v.get("instructions")?.u64()?,
-        texel_fetches: v.get("texel_fetches")?.u64()?,
-        cache_hits: v.get("cache_hits")?.u64()?,
-        cache_misses: v.get("cache_misses")?.u64()?,
-        bytes_written: v.get("bytes_written")?.u64()?,
-        bytes_uploaded: v.get("bytes_uploaded")?.u64()?,
-        bytes_downloaded: v.get("bytes_downloaded")?.u64()?,
-        passes: v.get("passes")?.u64()?,
-        tiles: v.get("tiles")?.u64()?,
+        fragments: uint(v, "fragments")?,
+        instructions: uint(v, "instructions")?,
+        texel_fetches: uint(v, "texel_fetches")?,
+        cache_hits: uint(v, "cache_hits")?,
+        cache_misses: uint(v, "cache_misses")?,
+        bytes_written: uint(v, "bytes_written")?,
+        bytes_uploaded: uint(v, "bytes_uploaded")?,
+        bytes_downloaded: uint(v, "bytes_downloaded")?,
+        passes: uint(v, "passes")?,
+        tiles: uint(v, "tiles")?,
     })
 }
 
@@ -1623,32 +1345,29 @@ fn pass_stats_from(v: &Json) -> ParseResult<PassStats> {
 /// `modeled_*`, `wall_over_modeled`, `cache_hit_rates`) are not read; they
 /// are recomputed from the parsed inputs on re-serialization.
 pub fn from_json(text: &str) -> ParseResult<BenchRun> {
-    let mut p = Parser::new(text);
-    let doc = p.value()?;
-    let version = doc
-        .get("schema_version")
-        .map_err(|e| format!("{e} — document predates schema versioning; regenerate it"))?
-        .u64()?;
+    let doc = &json::parse(text).map_err(|e| e.to_string())?;
+    let version = uint(doc, "schema_version")
+        .map_err(|e| format!("{e} — document predates schema versioning; regenerate it"))?;
     if version != SCHEMA_VERSION {
         return Err(format!(
             "schema_version {version} != supported {SCHEMA_VERSION}; \
              regenerate the document with this tree's `tables -- bench`"
         ));
     }
-    let scene = doc.get("scene")?;
-    let tail_obj = doc.get("cpu_tail_stages")?;
+    let scene = field(doc, "scene")?;
+    let tail_obj = field(doc, "cpu_tail_stages")?;
     let tail = TailBreakdown {
-        selection_s: tail_obj.get("selection_s")?.num()?,
-        unmix_s: tail_obj.get("unmix_s")?.num()?,
-        classify_s: tail_obj.get("classify_s")?.num()?,
-        argmax_s: tail_obj.get("argmax_s")?.num()?,
+        selection_s: num(tail_obj, "selection_s")?,
+        unmix_s: num(tail_obj, "unmix_s")?,
+        classify_s: num(tail_obj, "classify_s")?,
+        argmax_s: num(tail_obj, "argmax_s")?,
     };
     let mut stages = StageStats::default();
     let mut stage_wall = StageWall::default();
-    for entry in doc.get("stages")?.arr()? {
-        let name = entry.get("stage")?.str()?.to_owned();
+    for entry in list(doc, "stages")? {
+        let name = string(entry, "stage")?;
         let stats = pass_stats_from(entry)?;
-        let wall = entry.get("wall_s")?.num()?;
+        let wall = num(entry, "wall_s")?;
         let (slot, wall_slot) = match name.as_str() {
             "upload" => (&mut stages.upload, &mut stage_wall.upload_s),
             "normalize" => (&mut stages.normalize, &mut stage_wall.normalize_s),
@@ -1661,188 +1380,162 @@ pub fn from_json(text: &str) -> ParseResult<BenchRun> {
         *slot = stats;
         *wall_slot = wall;
     }
-    let caches = doc.get("gpu_caches")?;
+    let caches = field(doc, "gpu_caches")?;
     // Of the whole `opt` block only the measured microbench walls are
     // inputs; the rollup itself is recomputed by [`to_json`].
-    let micro = doc.get("opt")?.get("isa_microbench")?;
-    let fus = doc.get("fusion")?;
-    let mut pairs = Vec::new();
-    for p in fus.get("pairs")?.arr()? {
-        pairs.push(FusionPairRow {
-            producer_kernel: p.get("producer_kernel")?.str()?.to_owned(),
-            consumer_kernel: p.get("consumer_kernel")?.str()?.to_owned(),
-            mode: p.get("mode")?.str()?.to_owned(),
-            count: p.get("count")?.u64()?,
-            sites: p.get("sites")?.u64()?,
-            fetches_before: p.get("fetches_before")?.u64()?,
-            fetches_after: p.get("fetches_after")?.u64()?,
-        });
-    }
-    let per_frag = fus.get("normalize_distance_fetches_per_fragment")?;
-    let arm = fus.get("unfused_arm")?;
+    let micro = field(field(doc, "opt")?, "isa_microbench")?;
+    let fus = field(doc, "fusion")?;
+    let per_frag = field(fus, "normalize_distance_fetches_per_fragment")?;
+    let arm = field(fus, "unfused_arm")?;
     let fusion = FusionReport {
-        enabled: fus.get("enabled")?.bool()?,
-        pairs,
-        eliminated_passes: fus.get("eliminated_passes")?.u64()?,
-        fused_passes: fus.get("fused_passes")?.u64()?,
-        unfused_passes: fus.get("unfused_passes")?.u64()?,
-        fused_fetches_per_fragment: per_frag.get("fused")?.u64()?,
-        unfused_fetches_per_fragment: per_frag.get("unfused")?.u64()?,
-        zero_fill_skips: fus.get("zero_fill_skips")?.u64()?,
-        unfused_normalize_texel_fetches: arm.get("normalize_texel_fetches")?.u64()?,
-        unfused_distance_texel_fetches: arm.get("distance_texel_fetches")?.u64()?,
-        unfused_distance_wall_s: arm.get("distance_wall_s")?.num()?,
+        enabled: typed(fus, "enabled", "a boolean", Value::as_bool)?,
+        pairs: rows(fus, "pairs", |p| {
+            Ok(FusionPairRow {
+                producer_kernel: string(p, "producer_kernel")?,
+                consumer_kernel: string(p, "consumer_kernel")?,
+                mode: string(p, "mode")?,
+                count: uint(p, "count")?,
+                sites: uint(p, "sites")?,
+                fetches_before: uint(p, "fetches_before")?,
+                fetches_after: uint(p, "fetches_after")?,
+            })
+        })?,
+        eliminated_passes: uint(fus, "eliminated_passes")?,
+        fused_passes: uint(fus, "fused_passes")?,
+        unfused_passes: uint(fus, "unfused_passes")?,
+        fused_fetches_per_fragment: uint(per_frag, "fused")?,
+        unfused_fetches_per_fragment: uint(per_frag, "unfused")?,
+        zero_fill_skips: uint(fus, "zero_fill_skips")?,
+        unfused_normalize_texel_fetches: uint(arm, "normalize_texel_fetches")?,
+        unfused_distance_texel_fetches: uint(arm, "distance_texel_fetches")?,
+        unfused_distance_wall_s: num(arm, "distance_wall_s")?,
     };
-    let fl = doc.get("fleet")?;
-    let fl_chunking = fl.get("chunking")?;
-    let mut fleet_shapes = Vec::new();
-    for shape in fl.get("shapes")?.arr()? {
-        let mut devices = Vec::new();
-        for d in shape.get("devices")?.arr()? {
-            let idx = |key: &str| -> ParseResult<Vec<u64>> {
-                d.get(key)?.arr()?.iter().map(Json::u64).collect()
-            };
-            devices.push(FleetDeviceRow {
-                device: d.get("device")?.str()?.to_owned(),
-                planned: idx("planned")?,
-                executed: idx("executed")?,
-                steals: d.get("steals")?.u64()?,
-                modeled_s: d.get("modeled_s")?.num()?,
-                wall_s: d.get("wall_s")?.num()?,
-            });
-        }
-        fleet_shapes.push(FleetShapeRun {
-            name: shape.get("name")?.str()?.to_owned(),
-            devices,
-            chunks: shape.get("chunks")?.u64()?,
-            steals: shape.get("steals")?.u64()?,
-            modeled_makespan_s: shape.get("modeled_makespan_s")?.num()?,
-            wall_s: shape.get("wall_s")?.num()?,
-        });
-    }
+    let fl = field(doc, "fleet")?;
+    let fl_chunking = field(fl, "chunking")?;
     let fleet = FleetReport {
-        lines_per_chunk: fl_chunking.get("lines_per_chunk")?.u64()?,
-        halo: fl_chunking.get("halo")?.u64()?,
-        baseline_device: fl.get("baseline_device")?.str()?.to_owned(),
-        baseline_modeled_s: fl.get("baseline_modeled_s")?.num()?,
-        shapes: fleet_shapes,
+        lines_per_chunk: uint(fl_chunking, "lines_per_chunk")?,
+        halo: uint(fl_chunking, "halo")?,
+        baseline_device: string(fl, "baseline_device")?,
+        baseline_modeled_s: num(fl, "baseline_modeled_s")?,
+        shapes: rows(fl, "shapes", |shape| {
+            Ok(FleetShapeRun {
+                name: string(shape, "name")?,
+                devices: rows(shape, "devices", |d| {
+                    Ok(FleetDeviceRow {
+                        device: string(d, "device")?,
+                        planned: uints(d, "planned")?,
+                        executed: uints(d, "executed")?,
+                        steals: uint(d, "steals")?,
+                        modeled_s: num(d, "modeled_s")?,
+                        wall_s: num(d, "wall_s")?,
+                    })
+                })?,
+                chunks: uint(shape, "chunks")?,
+                steals: uint(shape, "steals")?,
+                modeled_makespan_s: num(shape, "modeled_makespan_s")?,
+                wall_s: num(shape, "wall_s")?,
+            })
+        })?,
     };
-    let metrics_obj = doc.get("metrics")?;
-    let mut counters = Vec::new();
-    for c in metrics_obj.get("counters")?.arr()? {
-        counters.push((c.get("name")?.str()?.to_owned(), c.get("value")?.u64()?));
-    }
-    let mut histograms = Vec::new();
-    for h in metrics_obj.get("histograms")?.arr()? {
-        let mut buckets = Vec::new();
-        for b in h.get("buckets")?.arr()? {
-            buckets.push(HistBucket {
-                lo_ns: b.get("lo_ns")?.u64()?,
-                hi_ns: b.get("hi_ns")?.u64()?,
-                count: b.get("count")?.u64()?,
-            });
-        }
-        histograms.push((
-            h.get("name")?.str()?.to_owned(),
-            HistSummary {
-                count: h.get("count")?.u64()?,
-                sum_ns: h.get("sum_ns")?.u64()?,
-                p50_ns: h.get("p50_ns")?.u64()?,
-                p95_ns: h.get("p95_ns")?.u64()?,
-                p99_ns: h.get("p99_ns")?.u64()?,
-                buckets,
-            },
-        ));
-    }
-    let mut analysis_arms = Vec::new();
-    for a in doc.get("analysis")?.get("arms")?.arr()? {
-        let mut cp_stages = Vec::new();
-        for st in a.get("critical_path_stages")?.arr()? {
-            cp_stages.push((st.get("stage")?.str()?.to_owned(), st.get("self_s")?.num()?));
-        }
-        let pack = a.get("pack")?;
-        let bus = a.get("bus")?;
-        let mut arm_threads = Vec::new();
-        for t in a.get("threads")?.arr()? {
-            arm_threads.push(AnalysisThread {
-                name: t.get("name")?.str()?.to_owned(),
-                busy_s: t.get("busy_s")?.num()?,
-            });
-        }
-        let arm_fleet = match a.get("fleet")? {
-            Json::Null => None,
-            f => {
-                let mut devices = Vec::new();
-                for d in f.get("devices")?.arr()? {
-                    devices.push(AnalysisDevice {
-                        device: d.get("device")?.u64()?,
-                        label: d.get("label")?.str()?.to_owned(),
-                        chunks: d.get("chunks")?.u64()?,
-                        stolen: d.get("stolen")?.u64()?,
-                        busy_s: d.get("busy_s")?.num()?,
-                    });
-                }
-                Some(AnalysisFleet {
-                    makespan_s: f.get("makespan_s")?.num()?,
-                    steals: f.get("steals")?.u64()?,
-                    devices,
-                })
-            }
+    let metrics_obj = field(doc, "metrics")?;
+    let counters = rows(metrics_obj, "counters", |c| {
+        Ok((string(c, "name")?, uint(c, "value")?))
+    })?;
+    let histograms = rows(metrics_obj, "histograms", |h| {
+        let buckets = rows(h, "buckets", |b| {
+            Ok(HistBucket {
+                lo_ns: uint(b, "lo_ns")?,
+                hi_ns: uint(b, "hi_ns")?,
+                count: uint(b, "count")?,
+            })
+        })?;
+        let summary = HistSummary {
+            count: uint(h, "count")?,
+            sum_ns: uint(h, "sum_ns")?,
+            p50_ns: uint(h, "p50_ns")?,
+            p95_ns: uint(h, "p95_ns")?,
+            p99_ns: uint(h, "p99_ns")?,
+            buckets,
         };
-        analysis_arms.push(AnalysisArm {
-            name: a.get("name")?.str()?.to_owned(),
-            wall_s: a.get("wall_s")?.num()?,
-            critical_path_s: a.get("critical_path_s")?.num()?,
-            critical_path_nodes: a.get("critical_path_nodes")?.u64()?,
-            critical_path_stages: cp_stages,
-            pack_total_s: pack.get("total_s")?.num()?,
-            pack_hidden_s: pack.get("hidden_s")?.num()?,
-            bus_busy_s: bus.get("busy_s")?.num()?,
-            bus_contended_s: bus.get("contended_s")?.num()?,
-            threads: arm_threads,
-            fleet: arm_fleet,
-        });
-    }
-    let analysis = AnalysisReport {
-        arms: analysis_arms,
-    };
+        Ok((string(h, "name")?, summary))
+    })?;
+    let arms = rows(field(doc, "analysis")?, "arms", |a| {
+        let pack = field(a, "pack")?;
+        let bus = field(a, "bus")?;
+        let fleet = match field(a, "fleet")? {
+            Value::Null => None,
+            f => Some(AnalysisFleet {
+                makespan_s: num(f, "makespan_s")?,
+                steals: uint(f, "steals")?,
+                devices: rows(f, "devices", |d| {
+                    Ok(AnalysisDevice {
+                        device: uint(d, "device")?,
+                        label: string(d, "label")?,
+                        chunks: uint(d, "chunks")?,
+                        stolen: uint(d, "stolen")?,
+                        busy_s: num(d, "busy_s")?,
+                    })
+                })?,
+            }),
+        };
+        Ok(AnalysisArm {
+            name: string(a, "name")?,
+            wall_s: num(a, "wall_s")?,
+            critical_path_s: num(a, "critical_path_s")?,
+            critical_path_nodes: uint(a, "critical_path_nodes")?,
+            critical_path_stages: rows(a, "critical_path_stages", |st| {
+                Ok((string(st, "stage")?, num(st, "self_s")?))
+            })?,
+            pack_total_s: num(pack, "total_s")?,
+            pack_hidden_s: num(pack, "hidden_s")?,
+            bus_busy_s: num(bus, "busy_s")?,
+            bus_contended_s: num(bus, "contended_s")?,
+            threads: rows(a, "threads", |t| {
+                Ok(AnalysisThread {
+                    name: string(t, "name")?,
+                    busy_s: num(t, "busy_s")?,
+                })
+            })?,
+            fleet,
+        })
+    })?;
     Ok(BenchRun {
-        seed: doc.get("seed")?.u64()?,
-        threads: doc.get("threads")?.u64()? as usize,
+        seed: uint(doc, "seed")?,
+        threads: uint(doc, "threads")? as usize,
         dims: (
-            scene.get("width")?.u64()? as usize,
-            scene.get("height")?.u64()? as usize,
-            scene.get("bands")?.u64()? as usize,
+            uint(scene, "width")? as usize,
+            uint(scene, "height")? as usize,
+            uint(scene, "bands")? as usize,
         ),
-        scene_s: doc.get("scene_generation_s")?.num()?,
-        gpu_pipeline_s: doc.get("gpu_pipeline_wall_s")?.num()?,
-        cpu_tail_s: doc.get("cpu_tail_wall_s")?.num()?,
+        scene_s: num(doc, "scene_generation_s")?,
+        gpu_pipeline_s: num(doc, "gpu_pipeline_wall_s")?,
+        cpu_tail_s: num(doc, "cpu_tail_wall_s")?,
         tail,
-        chunks: doc.get("chunks")?.u64()? as usize,
-        endmembers: doc.get("endmembers")?.u64()? as usize,
+        chunks: uint(doc, "chunks")? as usize,
+        endmembers: uint(doc, "endmembers")? as usize,
         stages,
         stage_wall,
         gpu_caches: GpuCacheCounters {
-            verify_runs: caches.get("verify_runs")?.u64()?,
-            verify_cache_hits: caches.get("verify_cache_hits")?.u64()?,
-            lower_runs: caches.get("lower_runs")?.u64()?,
-            lower_cache_hits: caches.get("lower_cache_hits")?.u64()?,
-            pool_hits: caches.get("pool_hits")?.u64()?,
-            texture_allocs: caches.get("texture_allocs")?.u64()?,
+            verify_runs: uint(caches, "verify_runs")?,
+            verify_cache_hits: uint(caches, "verify_cache_hits")?,
+            lower_runs: uint(caches, "lower_runs")?,
+            lower_cache_hits: uint(caches, "lower_cache_hits")?,
+            pool_hits: uint(caches, "pool_hits")?,
+            texture_allocs: uint(caches, "texture_allocs")?,
         },
         metrics: Snapshot {
             counters,
             histograms,
         },
-        opt_wall_raw_s: micro.get("wall_raw_s")?.num()?,
-        opt_wall_opt_s: micro.get("wall_opt_s")?.num()?,
+        opt_wall_raw_s: num(micro, "wall_raw_s")?,
+        opt_wall_opt_s: num(micro, "wall_opt_s")?,
         kernel_mode: {
-            let name = doc.get("kernel_mode")?.str()?.to_owned();
+            let name = string(doc, "kernel_mode")?;
             KernelMode::from_name(&name).ok_or_else(|| format!("unknown kernel_mode \"{name}\""))?
         },
         fusion,
         fleet,
-        analysis,
+        analysis: AnalysisReport { arms },
     })
 }
 
@@ -2078,120 +1771,238 @@ pub(crate) mod tests {
         }
     }
 
+    /// [`sample_run`] with a thread name and device labels that need every
+    /// kind of escaping, plus non-ASCII text.
+    fn hostile_run() -> BenchRun {
+        let hostile = "dev \"0\" \\ x\n\u{e9}\u{1F600}";
+        let mut run = sample_run();
+        run.analysis.arms[0].threads[0].name = format!("main {hostile}");
+        let fleet = run.analysis.arms[1].fleet.as_mut().expect("fleet arm");
+        fleet.devices[0].label = hostile.to_owned();
+        run.fleet.shapes[0].devices[0].device = hostile.to_owned();
+        run
+    }
+
+    /// The value at a `.`-separated path of object keys and array indices.
+    fn at<'a>(doc: &'a Value, path: &str) -> &'a Value {
+        path.split('.')
+            .fold(doc, |v, step| match step.parse::<usize>() {
+                Ok(i) => &v
+                    .as_array()
+                    .unwrap_or_else(|| panic!("{path}: not an array"))[i],
+                Err(_) => v.get(step).unwrap_or_else(|| panic!("{path}: no {step}")),
+            })
+    }
+
+    fn len(doc: &Value, path: &str) -> usize {
+        at(doc, path).as_array().map_or(0, <[Value]>::len)
+    }
+
     #[test]
     fn json_document_is_well_formed_and_complete() {
-        let json = to_json(&sample_run());
-        // Balanced braces/brackets and the stable key set.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        for key in [
-            "\"schema_version\": 7",
-            "\"benchmark\"",
-            "\"kernel_mode\": \"isa\"",
-            "\"threads\": 4",
-            "\"amc_wall_s\": 2.000000",
-            "\"gpu_pipeline_wall_s\": 1.250000",
-            "\"cpu_tail_stages\": {\"selection_s\": 0.400000",
-            "\"unmix_s\": 0.250000",
-            "\"classify_s\": 0.300000",
-            "\"argmax_s\": 0.050000",
-            "\"stages\": [",
-            "\"stage\": \"upload\"",
-            "\"stage\": \"download\"",
-            "\"tiles\": 8",
-            "\"cache_hits\": 700",
-            "\"wall_s\": 0.250000",
-            "\"wall_over_modeled\"",
+        let text = to_json(&sample_run());
+        let doc = json::parse(&text).expect("the document is JSON");
+        // The document is the codec's indented rendering of itself.
+        assert_eq!(doc.to_pretty(), text);
+        let ints = |v: &[u64]| -> Value { v.iter().copied().collect() };
+        let expected: Vec<(&str, Value)> = vec![
+            ("schema_version", 7u64.into()),
+            ("benchmark", "amc_end_to_end".into()),
+            ("kernel_mode", "isa".into()),
+            ("threads", 4u64.into()),
+            ("amc_wall_s", 2.0.into()),
+            ("gpu_pipeline_wall_s", 1.25.into()),
+            ("cpu_tail_stages.selection_s", 0.4.into()),
+            ("cpu_tail_stages.unmix_s", 0.25.into()),
+            ("cpu_tail_stages.classify_s", 0.3.into()),
+            ("cpu_tail_stages.argmax_s", 0.05.into()),
+            ("stages.0.stage", "upload".into()),
+            ("stages.5.stage", "download".into()),
+            ("stages.1.tiles", 8u64.into()),
+            ("stages.1.cache_hits", 700u64.into()),
+            ("stages.1.wall_s", 0.25.into()),
             // Stages with zero modeled time (the zeroed distance stage in
             // this sample) report null skew, not a fake 0.0.
-            "\"wall_over_modeled\": null",
-            "\"modeled_kernel_ms_7800gtx\"",
-            "\"opt\": {",
-            "\"kernel\": \"band_sum\", \"raw_instructions\": 5, \"opt_instructions\": 4",
-            "\"kernel\": \"mei_partial\", \"raw_instructions\": 22, \"opt_instructions\": 19",
-            "\"dynamic_instructions_raw\"",
-            "\"dynamic_reduction_pct\"",
-            "\"eliminated\": {\"consts_folded\": ",
-            "\"modeled_kernel_ms_raw_7800gtx\"",
-            "\"modeled_kernel_ms_opt_7800gtx\"",
-            "\"isa_microbench\": {\"wall_raw_s\": 0.041000, \"wall_opt_s\": 0.034000}",
-            "\"fusion\": {",
-            "\"producer_kernel\": \"normalize\"",
-            "\"mode\": \"substitute-site-coord\"",
-            "\"normalize_distance_fetches_per_fragment\": {\"fused\": 462, \"unfused\": 672}",
-            "\"static_fetch_reduction_pct\": 31.250000",
-            "\"zero_fill_skips\": 41",
-            "\"unfused_arm\": {",
-            "\"distance_wall_s\": 0.310000",
-            "\"measured_fetch_reduction_pct\": 100.000000",
-            "\"fleet\": {",
-            "\"chunking\": {\"lines_per_chunk\": 16, \"halo\": 2}",
-            "\"baseline_device\": \"7800gtx\"",
-            "\"baseline_modeled_s\": 0.024000",
-            "\"name\": \"7800gtx+7800gtx\"",
+            ("stages.2.wall_over_modeled", Value::Null),
+            ("opt.kernels.0.kernel", "band_sum".into()),
+            ("opt.kernels.0.raw_instructions", 5u64.into()),
+            ("opt.kernels.0.opt_instructions", 4u64.into()),
+            ("opt.kernels.5.kernel", "mei_partial".into()),
+            ("opt.kernels.5.raw_instructions", 22u64.into()),
+            ("opt.kernels.5.opt_instructions", 19u64.into()),
+            ("opt.isa_microbench.wall_raw_s", 0.041.into()),
+            ("opt.isa_microbench.wall_opt_s", 0.034.into()),
+            ("fusion.pairs.0.producer_kernel", "normalize".into()),
+            ("fusion.pairs.0.mode", "substitute-site-coord".into()),
+            (
+                "fusion.normalize_distance_fetches_per_fragment",
+                Value::object([("fused", 462u64.into()), ("unfused", 672u64.into())]),
+            ),
+            ("fusion.static_fetch_reduction_pct", 31.25.into()),
+            ("fusion.zero_fill_skips", 41u64.into()),
+            ("fusion.unfused_arm.distance_wall_s", 0.31.into()),
+            ("fusion.measured_fetch_reduction_pct", 100.0.into()),
+            (
+                "fleet.chunking",
+                Value::object([("lines_per_chunk", 16u64.into()), ("halo", 2u64.into())]),
+            ),
+            ("fleet.baseline_device", "7800gtx".into()),
+            ("fleet.baseline_modeled_s", 0.024.into()),
+            ("fleet.shapes.1.name", "7800gtx+7800gtx".into()),
             // 0.024 / 0.0125 — derived from the rounded inputs.
-            "\"modeled_speedup\": 1.920000",
-            "\"planned\": [0, 1]",
-            "\"executed\": [0, 1, 3]",
-            "\"modeled_s\": 0.007500",
-            "\"gpu_caches\": {\"verify_runs\": 7",
-            "\"cache_hit_rates\": {\"verify\": 0.995025",
-            "\"name\": \"gpu.pass_wall\", \"count\": 1407",
-            "\"buckets\": [{\"lo_ns\": 1048576, \"hi_ns\": 2097151, \"count\": 900}, \
-             {\"lo_ns\": 4194304, \"hi_ns\": 8388607, \"count\": 507}]",
-            "\"analysis\": {",
-            "\"name\": \"headline\"",
+            ("fleet.shapes.1.modeled_speedup", 1.92.into()),
+            ("fleet.shapes.1.devices.0.planned", ints(&[0, 1])),
+            ("fleet.shapes.1.devices.0.executed", ints(&[0, 1, 3])),
+            ("fleet.shapes.1.devices.0.modeled_s", 0.0075.into()),
+            ("gpu_caches.verify_runs", 7u64.into()),
+            ("metrics.cache_hit_rates.verify", 0.995025.into()),
+            ("metrics.histograms.0.name", "gpu.pass_wall".into()),
+            ("metrics.histograms.0.count", 1407u64.into()),
+            (
+                "metrics.histograms.0.buckets",
+                Value::Arr(vec![
+                    Value::object([
+                        ("lo_ns", 1_048_576u64.into()),
+                        ("hi_ns", 2_097_151u64.into()),
+                        ("count", 900u64.into()),
+                    ]),
+                    Value::object([
+                        ("lo_ns", 4_194_304u64.into()),
+                        ("hi_ns", 8_388_607u64.into()),
+                        ("count", 507u64.into()),
+                    ]),
+                ]),
+            ),
+            ("analysis.arms.0.name", "headline".into()),
             // 1.1 / 1.25 and 0.3 / 0.4 — derived from the rounded inputs.
-            "\"critical_path_share\": 0.880000",
-            "\"critical_path_stages\": [{\"stage\": \"distance\", \"self_s\": 0.600000}",
-            "\"pack\": {\"total_s\": 0.400000, \"hidden_s\": 0.300000, \
-             \"overlap_efficiency\": 0.750000}",
-            "\"bus\": {\"busy_s\": 0.200000, \"contended_s\": 0.050000}",
+            ("analysis.arms.0.critical_path_share", 0.88.into()),
+            (
+                "analysis.arms.0.critical_path_stages.0",
+                Value::object([("stage", "distance".into()), ("self_s", 0.6.into())]),
+            ),
+            (
+                "analysis.arms.0.pack",
+                Value::object([
+                    ("total_s", 0.4.into()),
+                    ("hidden_s", 0.3.into()),
+                    ("overlap_efficiency", 0.75.into()),
+                ]),
+            ),
+            (
+                "analysis.arms.0.bus",
+                Value::object([("busy_s", 0.2.into()), ("contended_s", 0.05.into())]),
+            ),
             // 1.2 / 1.25 — thread utilization is derived, never parsed.
-            "\"name\": \"main\", \"busy_s\": 1.200000, \"utilization\": 0.960000",
-            "\"fleet\": null",
+            (
+                "analysis.arms.0.threads.0",
+                Value::object([
+                    ("name", "main".into()),
+                    ("busy_s", 1.2.into()),
+                    ("utilization", 0.96.into()),
+                ]),
+            ),
+            ("analysis.arms.0.fleet", Value::Null),
             // mean(0.6, 0.45) / 0.6 — the trace-side balance metric.
-            "\"load_balance\": 0.875000",
-            "\"device\": 0, \"label\": \"device0.7800gtx\", \"chunks\": 3, \"stolen\": 1",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
+            ("analysis.arms.1.fleet.load_balance", 0.875.into()),
+            ("analysis.arms.1.fleet.devices.0.device", 0u64.into()),
+            (
+                "analysis.arms.1.fleet.devices.0.label",
+                "device0.7800gtx".into(),
+            ),
+            ("analysis.arms.1.fleet.devices.0.chunks", 3u64.into()),
+            ("analysis.arms.1.fleet.devices.0.stolen", 1u64.into()),
+        ];
+        for (path, value) in &expected {
+            assert_eq!(at(&doc, path), value, "{path} in:\n{text}");
         }
-        // 6 pipeline stages plus the 4 critical-path attribution buckets in
-        // the sample's analysis arms.
-        assert_eq!(json.matches("\"stage\": ").count(), 10);
-        assert_eq!(json.matches("\"kernel\": ").count(), 6);
-        assert!(
-            !json.contains("\"wall_over_modeled\": 0.000000"),
-            "zero-modeled stages must serialize null skew:\n{json}"
-        );
+        // Keys present with computed values.
+        for path in [
+            "stages.1.wall_over_modeled",
+            "modeled_kernel_ms_7800gtx",
+            "opt.dynamic_instructions_raw",
+            "opt.dynamic_reduction_pct",
+            "opt.eliminated.consts_folded",
+            "opt.modeled_kernel_ms_raw_7800gtx",
+            "opt.modeled_kernel_ms_opt_7800gtx",
+        ] {
+            assert!(at(&doc, path).as_f64().is_some(), "{path} is not a number");
+        }
+        // 6 pipeline stages, 6 optimizer kernel rows, and the 4
+        // critical-path attribution buckets in the sample's analysis arms.
+        assert_eq!(len(&doc, "stages"), 6);
+        assert_eq!(len(&doc, "opt.kernels"), 6);
+        let cp_buckets: usize = (0..len(&doc, "analysis.arms"))
+            .map(|i| len(&doc, &format!("analysis.arms.{i}.critical_path_stages")))
+            .sum();
+        assert_eq!(cp_buckets, 4);
+        for i in 0..6 {
+            assert_ne!(
+                at(&doc, &format!("stages.{i}.wall_over_modeled")),
+                &Value::Num(0.0),
+                "zero-modeled stages must serialize null skew:\n{text}"
+            );
+        }
     }
 
     #[test]
     fn round_trip_is_bit_stable() {
         // Parse → re-serialize must reproduce the document byte for byte;
-        // anything less means derived fields drifted from their inputs.
-        let doc = to_json(&sample_run());
-        let parsed = from_json(&doc).expect("document parses");
-        assert_eq!(to_json(&parsed), doc);
-        // And a second round proves the fixed point.
-        let doc2 = to_json(&from_json(&to_json(&parsed)).unwrap());
-        assert_eq!(doc2, doc);
+        // anything less means derived fields drifted from their inputs or a
+        // name was not escaped.
+        for run in [sample_run(), hostile_run()] {
+            let doc = to_json(&run);
+            let parsed = from_json(&doc).expect("document parses");
+            assert_eq!(to_json(&parsed), doc);
+            // And a second round proves the fixed point.
+            let doc2 = to_json(&from_json(&to_json(&parsed)).unwrap());
+            assert_eq!(doc2, doc);
+        }
+        let parsed = from_json(&to_json(&hostile_run())).unwrap();
+        assert_eq!(
+            parsed.analysis.arms[0].threads[0].name,
+            hostile_run().analysis.arms[0].threads[0].name
+        );
+    }
+
+    /// `doc` with its top-level members rewritten by `edit`, re-serialized.
+    fn edited(doc: &Value, edit: impl FnOnce(&mut Vec<(String, Value)>)) -> String {
+        let mut doc = doc.clone();
+        let Value::Obj(fields) = &mut doc else {
+            panic!("the document is an object")
+        };
+        edit(fields);
+        doc.to_pretty()
     }
 
     #[test]
     fn schema_drift_fails_loudly() {
-        let doc = to_json(&sample_run());
+        let doc = json::parse(&to_json(&sample_run())).unwrap();
+        let version = |fields: &[(String, Value)]| {
+            let i = fields.iter().position(|(k, _)| k == "schema_version");
+            i.expect("versioned document")
+        };
         // Wrong version.
-        let old = doc.replace("\"schema_version\": 7", "\"schema_version\": 3");
+        let old = edited(&doc, |f| {
+            let i = version(f);
+            f[i].1 = 3u64.into();
+        });
         let err = from_json(&old).expect_err("version 3 must be rejected");
         assert!(err.contains("schema_version 3"), "{err}");
         // Unversioned document (the pre-observability layout).
-        let unversioned = doc.replacen("  \"schema_version\": 7,\n", "", 1);
+        let unversioned = edited(&doc, |f| {
+            let i = version(f);
+            f.remove(i);
+        });
         let err = from_json(&unversioned).expect_err("missing version must be rejected");
         assert!(err.contains("schema_version"), "{err}");
         // A missing input key is an error, not a default.
-        let broken = doc.replacen("\"cpu_tail_wall_s\"", "\"renamed_key\"", 1);
-        assert!(from_json(&broken).is_err());
+        let broken = edited(&doc, |f| {
+            for (k, _) in f.iter_mut().filter(|(k, _)| k == "cpu_tail_wall_s") {
+                *k = "renamed_key".to_owned();
+            }
+        });
+        let err = from_json(&broken).expect_err("missing key must be rejected");
+        assert!(err.contains("cpu_tail_wall_s"), "{err}");
     }
 
     #[test]
@@ -2265,12 +2076,36 @@ pub(crate) mod tests {
 
     #[test]
     fn parser_handles_escapes_and_nesting() {
-        let mut p = Parser::new(r#"{"a": [1, 2.5, -3e2], "s": "q\"\\\nA", "b": true}"#);
-        let v = p.value().unwrap();
-        assert_eq!(v.get("a").unwrap().arr().unwrap().len(), 3);
-        assert_eq!(v.get("a").unwrap().arr().unwrap()[2].num().unwrap(), -300.0);
-        assert_eq!(v.get("s").unwrap().str().unwrap(), "q\"\\\nA");
-        assert_eq!(v.get("b").unwrap(), &Json::Bool(true));
-        assert!(v.get("missing").is_err());
+        // A foreign writer may escape what this one writes raw (`\/`, `\u`
+        // for ASCII and UTF-16 pairs for non-BMP text); the names still
+        // decode, seven levels down in the analysis block included.
+        let u = |c: u32| format!("\\u{c:04x}");
+        let text = to_json(&sample_run())
+            .replacen(
+                "\"gpu.pool.hits\"",
+                &format!("\"gpu\\/pool{}hits\"", u(0x2e)),
+                1,
+            )
+            .replace(
+                "\"device1.7800gtx\"",
+                &format!("\"device1{}{}\"", u(0xd83d), u(0xde00)),
+            );
+        let run = from_json(&text).expect("escaped names parse");
+        assert_eq!(run.metrics.counters[0].0, "gpu/pool.hits");
+        let fleet = run.analysis.arms[1].fleet.as_ref().unwrap();
+        assert_eq!(fleet.devices[1].label, "device1\u{1F600}");
+    }
+
+    #[test]
+    fn every_truncation_of_the_document_is_rejected() {
+        let text = to_json(&sample_run());
+        for cut in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+            let prefix = &text[..cut];
+            if prefix.trim_end() == text.trim_end() {
+                continue;
+            }
+            let err = from_json(prefix).expect_err(prefix);
+            assert!(err.contains("at byte"), "{err}");
+        }
     }
 }

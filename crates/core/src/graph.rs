@@ -72,6 +72,7 @@ use gpu_sim::GpuError;
 use std::fmt;
 use std::fmt::Write as _;
 use std::time::Instant;
+use trace::json::Value;
 
 /// Handle to one logical texture in a [`RenderGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -1065,87 +1066,54 @@ impl CompiledGraph {
     /// JSON rendering of the compile results: passes, fused pairs, slot
     /// aliasing, and eliminated passes.
     pub fn to_json(&self) -> String {
-        let esc = |x: &str| x.replace('\\', "\\\\").replace('"', "\\\"");
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"fused\": {},", self.fused);
-        let _ = writeln!(s, "  \"passes\": [");
-        for (i, p) in self.passes.iter().enumerate() {
-            let comma = if i + 1 < self.passes.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    {{\"name\": \"{}\", \"stage\": \"{}\", \"kernel\": \"{}\", \
-                 \"instructions\": {}, \"fetches\": {}, \"inputs\": [{}], \"output\": \"{}\"}}{comma}",
-                esc(&p.name),
-                p.stage,
-                esc(&p.program.name),
-                p.program.len(),
-                p.program.tex_count(),
-                p.inputs
-                    .iter()
-                    .map(|&h| format!("\"{}\"", esc(&self.textures[h.0].name)))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                esc(&self.textures[p.output.0].name)
-            );
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"fusions\": [");
-        for (i, f) in self.fusions.iter().enumerate() {
-            let comma = if i + 1 < self.fusions.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    {{\"producer\": \"{}\", \"consumer\": \"{}\", \"mode\": \"{}\", \
-                 \"sites\": {}, \"fetches_before\": {}, \"fetches_after\": {}}}{comma}",
-                esc(&f.producer),
-                esc(&f.consumer),
-                match f.mode {
-                    InlineMode::SubstituteSiteCoord => "substitute-site-coord",
-                    InlineMode::KeepProducerCoords => "keep-producer-coords",
-                },
-                f.sites,
-                f.fetches_before,
-                f.fetches_after
-            );
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"eliminated\": [");
-        for (i, e) in self.eliminated.iter().enumerate() {
-            let comma = if i + 1 < self.eliminated.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(s, "    \"{}\"{comma}", esc(e));
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"textures\": [");
-        let live: Vec<usize> = (0..self.textures.len())
-            .filter(|&i| self.meta[i].producer.is_some() || self.meta[i].last_use.is_some())
-            .collect();
-        for (k, &ti) in live.iter().enumerate() {
-            let comma = if k + 1 < live.len() { "," } else { "" };
-            let t = &self.textures[ti];
-            let m = &self.meta[ti];
-            let _ = writeln!(
-                s,
-                "    {{\"name\": \"{}\", \"width\": {}, \"height\": {}, \"slot\": {}, \
-                 \"uninit_ok\": {}, \"live\": [{}, {}]}}{comma}",
-                esc(&t.name),
-                t.width,
-                t.height,
-                m.slot.map_or("null".into(), |x| x.to_string()),
-                m.uninit_ok,
-                m.producer
-                    .or(m.last_use)
-                    .map_or("null".into(), |x| x.to_string()),
-                m.last_use.map_or("null".into(), |x| x.to_string())
-            );
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"slots\": {}", self.slots.len());
-        let _ = writeln!(s, "}}");
-        s
+        let tex_name = |h: TexHandle| Value::from(self.textures[h.0].name.as_str());
+        let passes = self.passes.iter().map(|p| {
+            Value::object([
+                ("name", p.name.as_str().into()),
+                ("stage", p.stage.into()),
+                ("kernel", p.program.name.as_str().into()),
+                ("instructions", p.program.len().into()),
+                ("fetches", p.program.tex_count().into()),
+                ("inputs", p.inputs.iter().map(|&h| tex_name(h)).collect()),
+                ("output", tex_name(p.output)),
+            ])
+        });
+        let fusions = self.fusions.iter().map(|f| {
+            Value::object([
+                ("producer", f.producer.as_str().into()),
+                ("consumer", f.consumer.as_str().into()),
+                ("mode", f.mode.as_str().into()),
+                ("sites", f.sites.into()),
+                ("fetches_before", f.fetches_before.into()),
+                ("fetches_after", f.fetches_after.into()),
+            ])
+        });
+        let eliminated = self.eliminated.iter().map(String::as_str);
+        let textures = self
+            .textures
+            .iter()
+            .zip(&self.meta)
+            .filter(|(_, m)| m.producer.is_some() || m.last_use.is_some())
+            .map(|(t, m)| {
+                let live = [m.producer.or(m.last_use), m.last_use];
+                Value::object([
+                    ("name", t.name.as_str().into()),
+                    ("width", t.width.into()),
+                    ("height", t.height.into()),
+                    ("slot", m.slot.into()),
+                    ("uninit_ok", m.uninit_ok.into()),
+                    ("live", live.into_iter().collect()),
+                ])
+            });
+        Value::object([
+            ("fused", self.fused.into()),
+            ("passes", passes.collect()),
+            ("fusions", fusions.collect()),
+            ("eliminated", eliminated.collect()),
+            ("textures", textures.collect()),
+            ("slots", self.slots.len().into()),
+        ])
+        .to_pretty()
     }
 }
 
@@ -1154,6 +1122,7 @@ mod tests {
     use super::*;
     use gpu_sim::asm::assemble;
     use proptest::prelude::*;
+    use trace::json;
 
     /// `out = src` (one fetch at the interpolated coordinate).
     fn copy_program() -> Program {
@@ -1389,14 +1358,15 @@ mod tests {
         assert!(dot.starts_with("digraph render_graph"));
         assert!(dot.contains("p2"));
         assert!(dot.contains("style=bold"));
-        let json = c.to_json();
-        assert!(json.contains("\"fused\": true"));
-        assert!(json.contains("\"substitute-site-coord\""));
-        assert!(json.contains("\"slots\": "));
+        let json = json::parse(&c.to_json()).expect("the dump is JSON");
+        assert_eq!(json.get("fused"), Some(&Value::Bool(true)));
+        let fusions = json.get("fusions").and_then(Value::as_array).unwrap();
+        assert!(fusions
+            .iter()
+            .any(|f| f.get("mode").and_then(Value::as_str) == Some("substitute-site-coord")));
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "JSON braces balance"
+            json.get("slots").and_then(Value::as_u64),
+            Some(c.slots.len() as u64)
         );
     }
 

@@ -1149,6 +1149,16 @@ pub enum InlineMode {
     KeepProducerCoords,
 }
 
+impl InlineMode {
+    /// The kebab-case name the graph dump and the bench document use.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            InlineMode::SubstituteSiteCoord => "substitute-site-coord",
+            InlineMode::KeepProducerCoords => "keep-producer-coords",
+        }
+    }
+}
+
 /// One producer→consumer fusion request for [`inline_producer`].
 #[derive(Debug)]
 pub struct InlineRequest<'a> {

@@ -21,7 +21,9 @@
 //!
 //! The captured timeline exports as Chrome trace-event JSON
 //! ([`chrome_trace_json`] / [`write_chrome_trace`]) loadable in Perfetto
-//! (<https://ui.perfetto.dev>) or `chrome://tracing`.
+//! (<https://ui.perfetto.dev>) or `chrome://tracing`. The [`json`] module is
+//! the workspace's one JSON codec; the exporter writes each event as one
+//! compact [`json::Value`] line.
 //!
 //! The sibling [`metrics`] registry (monotonic counters + log₂-bucket
 //! latency histograms) is always on: it records at pass/stage granularity
@@ -41,13 +43,15 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
+pub mod json;
 pub mod metrics;
 
 use std::cell::RefCell;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+
+use json::Value;
 
 // ---------------------------------------------------------------------------
 // Enablement
@@ -422,77 +426,49 @@ pub fn counter(name: &str, value: f64) {
 /// The pid every event carries (one simulated process).
 pub const TRACE_PID: u64 = 1;
 
-fn json_escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn write_arg_value(out: &mut String, v: &ArgValue) {
+fn arg_value(v: &ArgValue) -> Value {
     match v {
-        ArgValue::U64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        ArgValue::I64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        ArgValue::F64(x) => {
-            if x.is_finite() {
-                let _ = write!(out, "{x}");
-            } else {
-                out.push_str("null");
-            }
-        }
-        ArgValue::Str(s) => {
-            out.push('"');
-            json_escape(s, out);
-            out.push('"');
-        }
+        ArgValue::U64(n) => Value::from(*n),
+        ArgValue::I64(n) => Value::Num(*n as f64),
+        ArgValue::F64(x) => Value::Num(*x),
+        ArgValue::Str(s) => Value::from(s.as_str()),
     }
 }
 
-fn write_event(out: &mut String, ev: &Event) {
+fn event_value(ev: &Event) -> Value {
     let ph = match ev.phase {
         Phase::Begin => "B",
         Phase::End => "E",
         Phase::Instant => "i",
         Phase::Counter => "C",
     };
-    out.push_str("{\"name\":\"");
-    json_escape(&ev.name, out);
-    out.push_str("\",\"cat\":\"");
-    json_escape(ev.cat, out);
-    let _ = write!(
-        out,
-        "\",\"ph\":\"{ph}\",\"pid\":{TRACE_PID},\"tid\":{},\"ts\":{:.3}",
-        ev.tid,
-        ev.ts_ns as f64 / 1e3
-    );
+    let mut fields = vec![
+        ("name", Value::from(ev.name.as_str())),
+        ("cat", ev.cat.into()),
+        ("ph", ph.into()),
+        ("pid", TRACE_PID.into()),
+        ("tid", ev.tid.into()),
+        ("ts", Value::Num(ev.ts_ns as f64 / 1e3)),
+    ];
     if ev.phase == Phase::Instant {
-        out.push_str(",\"s\":\"t\"");
+        fields.push(("s", "t".into()));
     }
     if !ev.args.is_empty() {
-        out.push_str(",\"args\":{");
-        for (i, (k, v)) in ev.args.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{k}\":");
-            write_arg_value(out, v);
-        }
-        out.push('}');
+        let args = ev.args.iter().map(|(k, v)| (*k, arg_value(v)));
+        fields.push(("args", Value::object(args)));
     }
-    out.push('}');
+    Value::object(fields)
+}
+
+/// A metadata (`M`) event naming the process (`tid` 0) or a thread.
+fn metadata_value(kind: &str, tid: u64, name: &str) -> Value {
+    Value::object([
+        ("name", kind.into()),
+        ("ph", "M".into()),
+        ("pid", TRACE_PID.into()),
+        ("tid", tid.into()),
+        ("args", Value::object([("name", name.into())])),
+    ])
 }
 
 /// Render everything captured so far as a Chrome trace-event JSON document
@@ -509,24 +485,14 @@ pub fn chrome_trace_json() -> String {
     events.sort_by_key(|e| e.ts_ns);
     let mut out = String::with_capacity(events.len() * 96 + 1024);
     out.push_str("{\"traceEvents\":[\n");
-    let _ = write!(
-        out,
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{TRACE_PID},\"tid\":0,\
-         \"args\":{{\"name\":\"hyperspec\"}}}}"
-    );
+    metadata_value("process_name", 0, "hyperspec").write_compact(&mut out);
     for (tid, name) in &threads {
         out.push_str(",\n");
-        let _ = write!(
-            out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{TRACE_PID},\"tid\":{tid},\
-             \"args\":{{\"name\":\""
-        );
-        json_escape(name, &mut out);
-        out.push_str("\"}}");
+        metadata_value("thread_name", *tid, name).write_compact(&mut out);
     }
     for ev in &events {
         out.push_str(",\n");
-        write_event(&mut out, ev);
+        event_value(ev).write_compact(&mut out);
     }
     out.push_str("\n],\n\"displayTimeUnit\":\"ms\"}\n");
     out
@@ -658,9 +624,42 @@ mod tests {
     }
 
     #[test]
+    fn every_truncation_of_an_export_is_rejected() {
+        let _g = TEST_LOCK.lock().unwrap();
+        enable();
+        reset();
+        {
+            let args = [
+                ("path", ArgValue::Str("a\"b\\c\n\u{e9}".into())),
+                ("ratio", ArgValue::F64(0.5)),
+            ];
+            let _s = span_with("t", "quoted \"name\"", &args);
+            instant("t", "tick", &[]);
+            counter("gauge", f64::NAN);
+            // A cut right after the sign must be an error, not a panic.
+            counter("gauge", -2.5);
+        }
+        let full = chrome_trace_json();
+        disable();
+        reset();
+        let snap = analyze::import_chrome_trace(&full).expect("the whole export imports");
+        assert_eq!(snap.events.len(), 5);
+        assert_eq!(snap.events[0].name, "quoted \"name\"");
+        for cut in (0..full.len()).filter(|&i| full.is_char_boundary(i)) {
+            let prefix = &full[..cut];
+            if prefix.trim_end() == full.trim_end() {
+                continue;
+            }
+            let err = json::parse(prefix).expect_err(prefix);
+            assert!(err.offset <= cut, "{err} past the {cut}-byte prefix");
+            assert!(analyze::import_chrome_trace(prefix).is_err());
+        }
+    }
+
+    #[test]
     fn json_strings_are_escaped() {
         let mut s = String::new();
-        json_escape("a\"b\\c\nd\u{1}", &mut s);
-        assert_eq!(s, "a\\\"b\\\\c\\nd\\u0001");
+        json::write_str(&mut s, "a\"b\\c\nd\u{1}");
+        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 }
