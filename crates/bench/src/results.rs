@@ -28,13 +28,13 @@
 //! [`opt_rollup`] of the shader optimizer over the six AMC kernels
 //! (per-kernel raw vs optimized instruction counts, dynamically shaded
 //! instruction totals, eliminated-op counters, modeled-ms deltas) plus a
-//! small measured ISA-mode A/B microbench (`GPU_SIM_OPT=0` vs default).
+//! small measured ISA-mode A/B microbench (optimizer off vs default).
 //!
 //! Since schema 5 it carries a `fusion` block: the render-graph compiler's
 //! pass-fusion attribution (committed producer→consumer inlines aggregated
 //! per kernel pair, eliminated passes, static normalize+distance texel
 //! fetches per fragment fused vs unfused) plus a measured unfused-oracle
-//! arm (`GPU_SIM_FUSE=0` equivalent) whose stage counters anchor the
+//! arm (`set_fusion(false)`) whose stage counters anchor the
 //! ≥ 30% fetch-reduction gate CI enforces.
 //!
 //! Since schema 6 it carries a `fleet` block: the multi-device sharding
@@ -163,7 +163,7 @@ pub struct BenchRun {
     /// Snapshot of the metrics registry taken after the run.
     pub metrics: Snapshot,
     /// Measured wall seconds of the ISA-mode microbench with the shader
-    /// optimizer disabled (`GPU_SIM_OPT=0` path).
+    /// optimizer disabled (`Gpu::set_optimizer(false)`).
     pub opt_wall_raw_s: f64,
     /// Measured wall seconds of the same microbench with the optimizer on
     /// (the default lowering path).
@@ -342,8 +342,7 @@ pub struct FusionPairRow {
 /// geometry plus the measured unfused-oracle arm.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusionReport {
-    /// Whether the headline run executed the fused schedule (`GPU_SIM_FUSE`
-    /// unset or non-zero).
+    /// Whether the headline run executed the fused schedule.
     pub enabled: bool,
     /// Committed fusions aggregated per (producer, consumer, mode).
     pub pairs: Vec<FusionPairRow>,
@@ -825,7 +824,7 @@ pub fn run_benchmark_with_devices(seed: u64, extra_shape: Option<&[GpuProfile]>)
     let metrics = trace::metrics::snapshot();
     let zero_fill_skips = gpu.zero_fill_skips();
     let (opt_wall_raw_s, opt_wall_opt_s) = isa_microbench();
-    // The unfused-oracle arm (`GPU_SIM_FUSE=0` equivalent): same pipeline,
+    // The unfused-oracle arm (`set_fusion(false)`): same pipeline,
     // same scene, fresh device, fusion pinned off — its stage counters
     // anchor the measured fetch-reduction attribution.
     let mut amc_unfused = GpuAmc::new(amc.se().clone(), kernel_mode);

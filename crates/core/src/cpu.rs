@@ -89,7 +89,7 @@ pub fn run_simd4(cube: &Cube, se: &StructuringElement) -> CpuAmcResult {
             for plane in &packed {
                 sum += plane[base] + plane[base + 1] + plane[base + 2] + plane[base + 3];
             }
-            let inv = 1.0 / sum.max(1e-30);
+            let inv = 1.0 / gpu_sim::interp::fmax(sum, 1e-30);
             for plane in norm.iter_mut() {
                 for lane in 0..4 {
                     plane[base + lane] *= inv;

@@ -56,9 +56,8 @@
 //! (CSE, per-lane DCE, temp compaction) and statically re-verified against
 //! the device profile, so the fused graph renders bit-identically to the
 //! unfused one. The compiled graph is the pipeline's only chunk executor;
-//! its unfused schedule (`GPU_SIM_FUSE=0`, or
-//! [`crate::pipeline::GpuAmc::set_fusion`]) is the oracle the fused one is
-//! tested against.
+//! its unfused schedule ([`crate::pipeline::GpuAmc::set_fusion`]`(false)`)
+//! is the oracle the fused one is tested against.
 
 use gpu_sim::counters::PassStats;
 use gpu_sim::device::GpuProfile;

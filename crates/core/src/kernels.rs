@@ -7,17 +7,18 @@
 //! The assembly below is written the way the Cg frontend emits it —
 //! compiler-temp copies, a separate multiply feeding the reduction `DP4`,
 //! results staged through a temp before the final output move. The
-//! `gpu_sim::opt` pass pipeline (on by default, `GPU_SIM_OPT=0` to disable)
+//! `gpu_sim::opt` pass pipeline (on by default, `Gpu::set_optimizer` to disable)
 //! recovers the tight forms at lowering time; the `*_COST` constants below
 //! are the **optimized** per-fragment instruction counts the device actually
 //! shades, while `*_RAW_COST` are the as-assembled lengths. Every optimizer
-//! rewrite is exact-preserving, so `GPU_SIM_OPT=0` produces the same bits.
+//! rewrite is exact-preserving, so the raw programs produce the same bits.
 //!
 //! [`sid_partial_value`] mirrors the partial-SID program operation for
 //! operation (`log2(x)·ln2` instead of `ln`, ε-guards via `max`, identical
 //! summation order); the SIMD4 CPU baseline in [`crate::cpu`] uses it.
 
 use gpu_sim::asm::assemble;
+use gpu_sim::interp::{fmax, lg2_clamped};
 use gpu_sim::isa::Program;
 
 /// ε guard inside the SID kernels; equals [`hsi::spectral::SID_EPSILON`].
@@ -335,11 +336,11 @@ pub fn sid_partial_value(p: [f32; 4], q: [f32; 4]) -> f32 {
     let mut acc = 0.0f32;
     let mut terms = [0.0f32; 4];
     for lane in 0..4 {
-        let pl = p[lane].max(SID_EPS);
-        let ql = q[lane].max(SID_EPS);
+        let pl = fmax(p[lane], SID_EPS);
+        let ql = fmax(q[lane], SID_EPS);
         let r = 1.0 / ql;
         let ratio = pl * r;
-        let l = gpu_sim::interp::lg2(ratio.max(f32::MIN_POSITIVE)) * LN2;
+        let l = lg2_clamped(ratio) * LN2;
         terms[lane] = (pl - ql) * l;
     }
     // DP4 with the all-ones vector: sequential lane order.

@@ -361,14 +361,12 @@ impl GpuAmc {
     /// Create a driver for the given structuring element. `KernelMode` has
     /// the single variant [`KernelMode::Isa`].
     ///
-    /// Pass fusion follows `GPU_SIM_FUSE` (on unless `"0"`, same pattern as
-    /// `GPU_SIM_OPT`/`GPU_SIM_BATCH`); override per instance with
+    /// Pass fusion is on; turn it off per instance with
     /// [`GpuAmc::set_fusion`].
     pub fn new(se: StructuringElement, _mode: KernelMode) -> Self {
-        let fuse = std::env::var("GPU_SIM_FUSE").map_or(true, |v| v != "0");
         Self {
             se,
-            fuse,
+            fuse: true,
             graphs: Mutex::new(HashMap::new()),
         }
     }
@@ -384,8 +382,8 @@ impl GpuAmc {
         self.fuse
     }
 
-    /// Force fusion on or off, overriding `GPU_SIM_FUSE`. Clears the
-    /// compiled-graph cache.
+    /// Run the fused graph (`true`, the default) or the unfused
+    /// pass-per-kernel oracle. Clears the compiled-graph cache.
     pub fn set_fusion(&mut self, fuse: bool) {
         self.fuse = fuse;
         self.graphs
@@ -710,7 +708,8 @@ impl GpuAmc {
 
     /// Execute the six stages on pre-packed band groups of a `w x h x bands`
     /// chunk: upload, run the compiled render graph (normalize, distance,
-    /// minmax and mei stages; fused unless `GPU_SIM_FUSE=0`), download.
+    /// minmax and mei stages; fused unless [`Self::set_fusion`] turned it
+    /// off), download.
     /// Textures are drawn from (and returned to) the device pool; readbacks
     /// land in `scratch` so repeat chunks allocate nothing on the host
     /// either.
@@ -944,7 +943,7 @@ mod tests {
     fn batched_isa_pipeline_matches_scalar_at_every_thread_count() {
         // Full ISA classification (GPU pipeline + CPU tail) with the
         // batched SoA executor vs the per-fragment oracle
-        // (`GPU_SIM_BATCH=0`), at one worker thread and at the default
+        // (`set_batch_execution(false)`), at one worker thread and at the default
         // count: MEI scores, labels, and every PassStats field must be
         // bit-identical.
         let cube = test_cube(21, 11, 6, 7); // ragged vs 64x4 tiles
@@ -986,7 +985,7 @@ mod tests {
 
     #[test]
     fn fused_pipeline_matches_unfused_at_every_thread_count() {
-        // The fused graph schedule vs the unfused oracle (`GPU_SIM_FUSE=0`):
+        // The fused graph schedule vs the unfused oracle (`set_fusion(false)`):
         // MEI scores and the min/max index maps must be bit-identical at one
         // worker thread and at the default count, while fusion strictly
         // reduces both passes and texel fetches.

@@ -12,10 +12,12 @@
 //! tiles dispatched on the host worker pool (one simulated fragment pipe per
 //! tile, each with its own texture-cache model). Per-tile counters are
 //! merged in tile order, so aggregate statistics and output texels are
-//! bit-identical at every thread count. Programs execute through a
+//! bit-identical at every thread count. Tiles shade straight into the
+//! render target's texels. Programs execute through a
 //! [`LoweredProgram`](crate::interp::LoweredProgram) — operands decoded and
 //! constants folded once per (program, constants) bind, cached on the device
-//! next to the verification cache.
+//! next to the verification cache; the batched executor and the scalar
+//! oracle ([`Gpu::set_batch_execution`]) shade the same cached lowering.
 
 use crate::counters::{PassStats, TileCounts};
 use crate::device::GpuProfile;
@@ -61,22 +63,21 @@ struct LowerKey {
     constants: Vec<(u8, [u32; 4])>,
     /// `Some(bindings)` when the optimizer shaped this lowering (the
     /// optimized form depends on the pass bindings), `None` when the raw
-    /// program was lowered (`GPU_SIM_OPT=0`). Keying the flag into the
-    /// cache keeps optimized and raw lowerings from ever aliasing.
+    /// program was lowered ([`Gpu::set_optimizer`]`(false)`). Keying the
+    /// flag into the cache keeps optimized and raw lowerings from ever
+    /// aliasing. Both executors shade the same lowering, so the batch flag
+    /// is not part of the key.
     opt: Option<verify::PassBindings>,
-    /// Whether the lowering was scheduled for the batched executor
-    /// ([`opt::schedule_for_batch`]); keyed so scalar (`GPU_SIM_BATCH=0`)
-    /// and batched lowerings of the same program never alias.
-    batch: bool,
 }
 
-/// Shade `out` (the scratch buffer for `quad`) as independent tiles on the
-/// worker pool. `shade_tile` is called once per tile with the tile's origin
-/// in target coordinates, its rows (as mutable row segments of `out`), and
-/// a private texture-cache model; it returns the (instructions, fetches) it
-/// executed. Returns per-tile counters in tile order.
+/// Shade `quad` of `target` as independent tiles on the worker pool,
+/// straight into the target's texels. `shade_tile` is called once per tile
+/// with the tile's origin in target coordinates, its rows (as mutable row
+/// segments of the target), and a private texture-cache model; it returns
+/// the (instructions, fetches) it executed. Returns per-tile counters in
+/// tile order.
 fn shade_tiled<F>(
-    out: &mut [Texel],
+    target: &mut Texture2D,
     quad: &Quad,
     cache_model: bool,
     shade_tile: F,
@@ -86,14 +87,21 @@ where
 {
     let cols = quad.tile_cols();
     let tiles = quad.tile_count();
+    let width = target.width();
     // A tile's rows are disjoint contiguous segments of the row-major
-    // scratch buffer, so the split needs no unsafe: chunk into rows, chunk
-    // each row into tile-width segments, group segments by tile.
+    // texel array, so the split needs no unsafe: chunk into rows, cut each
+    // quad row out, chunk it into tile-width segments, group by tile.
     let mut tile_rows: Vec<Vec<&mut [Texel]>> = Vec::with_capacity(tiles);
     tile_rows.resize_with(tiles, Vec::new);
-    for (y, row) in out.chunks_mut(quad.width).enumerate() {
+    let quad_rows = target
+        .texels_mut()
+        .chunks_mut(width)
+        .skip(quad.y0)
+        .take(quad.height);
+    for (y, row) in quad_rows.enumerate() {
         let band = y / raster::TILE_ROWS;
-        for (col, seg) in row.chunks_mut(raster::TILE_W).enumerate() {
+        let span = &mut row[quad.x0..quad.x0 + quad.width];
+        for (col, seg) in span.chunks_mut(raster::TILE_W).enumerate() {
             tile_rows[band * cols + col].push(seg);
         }
     }
@@ -127,17 +135,6 @@ where
     counts
 }
 
-/// Copy a shaded quad's scratch rows into the target texture (row-contiguous
-/// block copies; the scratch buffer is row-major over the quad).
-fn resolve_to_target(tgt: &mut Texture2D, quad: &Quad, out: &[Texel]) {
-    let tw = tgt.width();
-    let texels = tgt.texels_mut();
-    for (row, chunk) in out.chunks_exact(quad.width).enumerate() {
-        let base = (quad.y0 + row) * tw + quad.x0;
-        texels[base..base + quad.width].copy_from_slice(chunk);
-    }
-}
-
 /// The simulated device.
 pub struct Gpu {
     profile: GpuProfile,
@@ -160,12 +157,13 @@ pub struct Gpu {
     lower_runs: u64,
     lower_cache_hits: u64,
     /// Whether ISA passes shade the statically optimized program form
-    /// (default; `GPU_SIM_OPT=0` disables).
+    /// (default; [`Gpu::set_optimizer`] disables).
     opt_enabled: bool,
     opt_runs: u64,
     opt_reports: Vec<opt::OptReport>,
     /// Whether ISA passes shade tiles through the batched SoA executor
-    /// (default; `GPU_SIM_BATCH=0` falls back to the per-fragment oracle).
+    /// (default; [`Gpu::set_batch_execution`] falls back to the
+    /// per-fragment oracle).
     batch_enabled: bool,
 }
 
@@ -190,10 +188,10 @@ impl Gpu {
             lowered_cache: HashMap::new(),
             lower_runs: 0,
             lower_cache_hits: 0,
-            opt_enabled: std::env::var("GPU_SIM_OPT").map_or(true, |v| v != "0"),
+            opt_enabled: true,
             opt_runs: 0,
             opt_reports: Vec::new(),
-            batch_enabled: std::env::var("GPU_SIM_BATCH").map_or(true, |v| v != "0"),
+            batch_enabled: true,
         }
     }
 
@@ -270,8 +268,8 @@ impl Gpu {
     /// program through [`opt::optimize`] under the pass `bindings`, re-runs
     /// the verifier on the optimized form (outside the verification cache and
     /// its counters — this is a safety net, not a pass admission check), and
-    /// lowers the optimized program. `GPU_SIM_OPT=0` lowers the raw program;
-    /// the choice is part of the cache key.
+    /// lowers the optimized program. With the optimizer off the raw program
+    /// is lowered; the choice is part of the cache key.
     fn lowered_for(
         &mut self,
         asm: &str,
@@ -286,7 +284,6 @@ impl Gpu {
                 .map(|&(idx, v)| (idx, v.map(f32::to_bits)))
                 .collect(),
             opt: self.opt_enabled.then(|| bindings.clone()),
-            batch: self.batch_enabled,
         };
         if let Some(lowered) = self.lowered_cache.get(&key) {
             self.lower_cache_hits += 1;
@@ -315,31 +312,22 @@ impl Gpu {
                 }
             }
         }
-        // Batched lowerings are additionally scheduled for the SoA executor
-        // (TEX fetches hoisted as early as dependences allow — an exact,
-        // count-preserving reordering), which is why `batch` is part of the
-        // cache key: scalar and batched forms of the same bind differ.
-        let scheduled;
-        if self.batch_enabled {
-            scheduled = opt::schedule_for_batch(shaded);
-            shaded = &scheduled;
-        }
         let resolved = interp::resolve_constants(shaded, constants);
         let lowered = Arc::new(interp::lower(shaded, &resolved));
         self.lowered_cache.insert(key, Arc::clone(&lowered));
         lowered
     }
 
-    /// Whether ISA passes shade statically optimized programs. Defaults to
-    /// the `GPU_SIM_OPT` environment variable (`0` disables, anything else —
-    /// including unset — enables).
+    /// Whether ISA passes shade statically optimized programs (on unless
+    /// [`Gpu::set_optimizer`] turned it off).
     pub fn optimizer_enabled(&self) -> bool {
         self.opt_enabled
     }
 
-    /// Override the `GPU_SIM_OPT` default for this device. Takes effect on
-    /// the next lowering-cache miss; existing cache entries keep the setting
-    /// they were built under (the flag is part of the cache key).
+    /// Shade statically optimized programs (`true`, the default) or the raw
+    /// programs as written. Takes effect on the next lowering-cache miss;
+    /// existing cache entries keep the setting they were built under (the
+    /// flag is part of the cache key).
     pub fn set_optimizer(&mut self, enabled: bool) {
         self.opt_enabled = enabled;
     }
@@ -356,16 +344,15 @@ impl Gpu {
         &self.opt_reports
     }
 
-    /// Whether ISA passes shade tiles through the batched SoA executor.
-    /// Defaults to the `GPU_SIM_BATCH` environment variable (`0` disables,
-    /// anything else — including unset — enables).
+    /// Whether ISA passes shade tiles through the batched SoA executor (on
+    /// unless [`Gpu::set_batch_execution`] turned it off).
     pub fn batch_execution_enabled(&self) -> bool {
         self.batch_enabled
     }
 
-    /// Override the `GPU_SIM_BATCH` default for this device. Takes effect on
-    /// the next lowering-cache miss; existing cache entries keep the setting
-    /// they were built under (the flag is part of the cache key).
+    /// Shade ISA passes through the batched SoA executor (`true`, the
+    /// default) or the per-fragment scalar oracle. Both executors run the
+    /// same cached lowering, so the switch takes effect on the next pass.
     pub fn set_batch_execution(&mut self, enabled: bool) {
         self.batch_enabled = enabled;
     }
@@ -689,8 +676,44 @@ impl Gpu {
         // Lower once per (program, constants) bind; repeat passes shade
         // straight from the cached pre-decoded form.
         let lowered = self.lowered_for(&asm, program, constants, &bindings);
+        // The target leaves the texture map for the duration of the pass,
+        // so tiles shade straight into its texels while the inputs stay
+        // borrowed from the map (a target bound as an input is refused).
+        let mut tgt = self
+            .textures
+            .remove(&target.0)
+            .ok_or(GpuError::InvalidTexture { id: target.0 })?;
+        let pass = self.shade_pass(
+            &program.name,
+            &lowered,
+            inputs,
+            texcoords,
+            target,
+            &mut tgt,
+            quad,
+        );
+        self.textures.insert(target.0, tgt);
+        let pass = pass?;
+        self.stats.add(&pass);
+        Ok(pass)
+    }
+
+    /// Shade `quad` (default: the whole target) of `tgt`, the texture
+    /// behind `target`, with `lowered`. The batched executor shades a whole
+    /// tile per call; the scalar per-fragment loop stays as the
+    /// bit-exactness oracle ([`Gpu::set_batch_execution`]).
+    #[allow(clippy::too_many_arguments)]
+    fn shade_pass(
+        &self,
+        name: &str,
+        lowered: &LoweredProgram,
+        inputs: &[TextureId],
+        texcoords: &[TexCoordSet],
+        target: TextureId,
+        tgt: &mut Texture2D,
+        quad: Option<Quad>,
+    ) -> Result<PassStats> {
         let input_refs = self.gather_inputs(inputs, target)?;
-        let tgt = self.texture(target)?;
         let (tw, th) = (tgt.width(), tgt.height());
         let quad = quad.unwrap_or(Quad::full(tw, th));
         if quad.x0 + quad.width > tw || quad.y0 + quad.height > th {
@@ -703,32 +726,23 @@ impl Gpu {
         }
         let _pass_span = trace::span_with(
             "gpu.pass",
-            &program.name,
+            name,
             &[
                 ("fragments", ArgValue::U64(quad.fragments() as u64)),
                 ("tiles", ArgValue::U64(quad.tile_count() as u64)),
             ],
         );
         let pass_start = Instant::now();
-        // Shade the quad into a scratch buffer as independent tiles, one
-        // simulated fragment pipe (with its own cache model) per tile. The
-        // batched executor shades a whole tile per call over SoA registers;
-        // the scalar per-fragment loop stays as the bit-exactness oracle
-        // (`GPU_SIM_BATCH=0`).
+        // One simulated fragment pipe (with its own cache model) per tile.
         let batch = self.batch_enabled;
-        let mut out = vec![[0.0f32; 4]; quad.fragments()];
         let tile_counts = shade_tiled(
-            &mut out,
+            tgt,
             &quad,
             self.cache_model,
             |x0, y0, mut rows, mut cache| {
                 if batch {
-                    // Interpolate coordinate sets straight into the
-                    // executor's SoA registers and let it write the row
-                    // segments directly — no per-fragment input gather or
-                    // color scatter buffers.
-                    return interp::execute_lowered_batch_tile(
-                        &lowered,
+                    return interp::execute_lowered_tile(
+                        lowered,
                         texcoords,
                         x0,
                         y0,
@@ -745,7 +759,7 @@ impl Gpu {
                     for (ci, slot) in seg.iter_mut().enumerate() {
                         let fin: FragmentInput = fragment_input(texcoords, x0 + ci, y, tw, th);
                         let r = interp::execute_lowered(
-                            &lowered,
+                            lowered,
                             &fin,
                             &input_refs,
                             cache.as_deref_mut(),
@@ -758,13 +772,6 @@ impl Gpu {
                 (instr, fetches)
             },
         );
-
-        // Resolve to the framebuffer.
-        let tgt = self
-            .textures
-            .get_mut(&target.0)
-            .expect("target validated above");
-        resolve_to_target(tgt, &quad, &out);
 
         let mut pass = PassStats {
             fragments: quad.fragments() as u64,
@@ -779,7 +786,6 @@ impl Gpu {
             c.merge_into(&mut pass);
         }
         trace::metrics::observe("gpu.pass_wall", pass_start.elapsed());
-        self.stats.add(&pass);
         Ok(pass)
     }
 }
@@ -867,7 +873,7 @@ mod tests {
     }
 
     #[test]
-    fn gpu_sim_opt_0_shades_the_raw_program() {
+    fn optimizer_off_shades_the_raw_program() {
         let mut gpu = small_gpu();
         gpu.set_optimizer(false);
         let src = gpu.alloc_texture(4, 4).unwrap();
@@ -893,7 +899,7 @@ mod tests {
     }
 
     #[test]
-    fn gpu_sim_batch_0_matches_batched_passes_exactly() {
+    fn scalar_oracle_matches_batched_passes_exactly() {
         // The same non-trivial pass on two devices, one shading through the
         // batched SoA executor and one through the per-fragment oracle:
         // texels AND every PassStats field must agree bit for bit. A 70x9
@@ -938,7 +944,43 @@ mod tests {
     }
 
     #[test]
-    fn batch_flag_keys_the_lowering_cache() {
+    fn constant_fetch_coordinates_shade_in_both_executors() {
+        // Copy propagation turns `MOV R1, C0` + `TEX R0, R1` into a TEX
+        // whose coordinate is an immediate; with the optimizer off the
+        // fetch reads the copied register instead. Every executor and
+        // optimizer setting must shade it, to the texel at (0.6, 0.3) of
+        // a 5x5 texture (and, negated, the clamped corner texel).
+        for src in [
+            "DEF C0, 0.6, 0.3, 0, 1\nMOV R1, C0\nTEX R0, R1, tex0\nMOV OC, R0",
+            "DEF C0, 0.6, 0.3, 0, 1\nTEX R0, -C0, tex0\nMOV OC, R0",
+        ] {
+            let prog = assemble(src).unwrap();
+            let mut results = Vec::new();
+            for (batch, optimize) in [(true, true), (false, true), (true, false), (false, false)] {
+                let mut gpu = small_gpu();
+                gpu.set_batch_execution(batch);
+                gpu.set_optimizer(optimize);
+                let tex = gpu.alloc_texture(5, 5).unwrap();
+                let dst = gpu.alloc_texture(3, 2).unwrap();
+                let data: Vec<f32> = (0..5 * 5 * 4).map(|i| i as f32).collect();
+                gpu.upload(tex, &data).unwrap();
+                let sets = [TexCoordSet::identity()];
+                let stats = gpu.run_pass(&prog, &[tex], &[], &sets, dst, None).unwrap();
+                results.push((gpu.download(dst).unwrap(), stats));
+            }
+            // Texel (3, 1) is texel 8, whose red is 32; (-0.6, -0.3) clamps
+            // to texel 0.
+            let want = if src.contains("-C0") { 0.0 } else { 32.0 };
+            assert_eq!(results[0].0[0], want, "{src}");
+            for (texels, stats) in &results[1..] {
+                assert_eq!(texels, &results[0].0, "{src}");
+                assert_eq!(stats.texel_fetches, results[0].1.texel_fetches, "{src}");
+            }
+        }
+    }
+
+    #[test]
+    fn both_executors_share_one_lowering() {
         let mut gpu = small_gpu();
         let src = gpu.alloc_texture(4, 4).unwrap();
         let dst = gpu.alloc_texture(4, 4).unwrap();
@@ -947,15 +989,14 @@ mod tests {
         let sets = [TexCoordSet::identity()];
         gpu.run_pass(&prog, &[src], &[], &sets, dst, None).unwrap();
         assert_eq!(gpu.lowerings(), 1);
-        // Toggling batching must miss the cache (the scheduled form
-        // differs), then hit its own entry on repeat.
+        // Toggling batching shades the cached lowering through the other
+        // executor: no new lowering, a cache hit each time.
         gpu.set_batch_execution(!gpu.batch_execution_enabled());
         gpu.run_pass(&prog, &[src], &[], &sets, dst, None).unwrap();
-        assert_eq!(gpu.lowerings(), 2);
-        assert_eq!(gpu.lower_cache_hits(), 0);
+        gpu.set_batch_execution(!gpu.batch_execution_enabled());
         gpu.run_pass(&prog, &[src], &[], &sets, dst, None).unwrap();
-        assert_eq!(gpu.lowerings(), 2);
-        assert_eq!(gpu.lower_cache_hits(), 1);
+        assert_eq!(gpu.lowerings(), 1);
+        assert_eq!(gpu.lower_cache_hits(), 2);
     }
 
     #[test]

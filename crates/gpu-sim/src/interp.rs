@@ -5,11 +5,22 @@
 //! one instruction per cycle, texture units resolved through the bound
 //! samplers. Work counts (instructions, texel fetches, cache hits/misses)
 //! are returned with the result so passes can be costed.
+//!
+//! Three executors share one arithmetic definition (the scalar ALU core,
+//! [`fmax`], [`fmin`], [`lg2_clamped`]):
+//!
+//! * [`execute`] decodes a [`Program`] per fragment (the reference);
+//! * [`execute_lowered`] runs a [`LoweredProgram`] per fragment — the
+//!   scalar oracle behind `Gpu::set_batch_execution(false)`;
+//! * [`execute_lowered_tile`] runs the same [`LoweredProgram`]'s
+//!   pre-decoded op sequence over [`BATCH_LANES`] fragments at a time,
+//!   in place on a flat register file of lane rows — the production path
+//!   (DESIGN.md §14).
 
 use crate::isa::{
     Opcode, Program, Reg, Swizzle, NUM_CONSTS, NUM_OUTPUTS, NUM_TEMPS, NUM_TEXCOORDS,
 };
-use crate::texcache::TextureCache;
+use crate::texcache::{Block, TextureCache};
 use crate::texture::{AddressMode, Texture2D};
 
 /// Per-fragment inputs.
@@ -63,8 +74,8 @@ const LG2_TINY: f32 = f32::MIN_POSITIVE;
 ///
 /// Every consumer that must stay bit-identical to shaded `LG2` results —
 /// the scalar and batched executors, the optimizer's constant folder (via
-/// [`alu`]), and the SIMD4 CPU baseline in `amc_core` — goes through
-/// this one definition.
+/// the scalar ALU core), and the SIMD4 CPU baseline in `amc_core` — goes
+/// through [`lg2_clamped`], and so through this one definition.
 #[inline(always)]
 pub fn lg2(x: f32) -> f32 {
     let bits = x.to_bits();
@@ -89,6 +100,43 @@ pub fn lg2(x: f32) -> f32 {
     } else {
         main
     }
+}
+
+/// The `MAX` opcode's per-component maximum, defined here as a select so
+/// every consumer — the scalar ALU core, the batched executor's lane loops, the
+/// optimizer's constant folder, the SIMD4 CPU baseline — evaluates one
+/// vectorizable expression instead of `f32::max`'s NaN-aware libm shape.
+///
+/// Its bits equal `f32::max`'s on every input, pinned by a unit test over
+/// a special-value grid and random bit patterns: a NaN `a` yields `b`
+/// (a NaN `b` yields `a`), and on equal operands — `±0` in either order —
+/// the first operand is returned.
+#[inline(always)]
+pub fn fmax(a: f32, b: f32) -> f32 {
+    if a.is_nan() || b > a {
+        b
+    } else {
+        a
+    }
+}
+
+/// The `MIN` opcode's per-component minimum: [`fmax`] with the comparison
+/// flipped, bit-identical to `f32::min` on every input.
+#[inline(always)]
+pub fn fmin(a: f32, b: f32) -> f32 {
+    if a.is_nan() || b < a {
+        b
+    } else {
+        a
+    }
+}
+
+/// The `LG2` opcode: [`lg2`] of the input clamped up to
+/// [`f32::MIN_POSITIVE`] with [`fmax`], so zero, negative, subnormal and
+/// NaN inputs all yield `-126`.
+#[inline(always)]
+pub fn lg2_clamped(x: f32) -> f32 {
+    lg2(fmax(x, LG2_TINY))
 }
 
 #[inline(always)]
@@ -125,12 +173,12 @@ pub(crate) fn alu(op: Opcode, s: impl Fn(usize) -> [f32; 4]) -> [f32; 4] {
                 a[3] * b[3] + c[3],
             ]
         }
-        Opcode::Min => lanewise2(f32::min, s(0), s(1)),
-        Opcode::Max => lanewise2(f32::max, s(0), s(1)),
+        Opcode::Min => lanewise2(fmin, s(0), s(1)),
+        Opcode::Max => lanewise2(fmax, s(0), s(1)),
         Opcode::Rcp => lanewise1(|a| 1.0 / a, s(0)),
         Opcode::Rsq => lanewise1(|a| 1.0 / a.sqrt(), s(0)),
         Opcode::Ex2 => lanewise1(f32::exp2, s(0)),
-        Opcode::Lg2 => lanewise1(|a| lg2(a.max(LG2_TINY)), s(0)),
+        Opcode::Lg2 => lanewise1(lg2_clamped, s(0)),
         Opcode::Frc => lanewise1(|a| a - a.floor(), s(0)),
         Opcode::Flr => lanewise1(f32::floor, s(0)),
         Opcode::Abs => lanewise1(f32::abs, s(0)),
@@ -332,15 +380,30 @@ struct LoweredInstr {
     sampler: u8,
 }
 
-/// A fragment program lowered for repeated execution: operand registers,
-/// swizzles, and write masks are decoded once, and constant operands are
-/// folded to immediates against a resolved constant block. Produced by
-/// [`lower`], executed by [`execute_lowered`], and cached per
-/// (program, constants) on `Gpu`.
+/// A fragment program lowered for repeated execution, in two forms built
+/// once per (program, constants) bind and cached on `Gpu`:
+///
+/// * the scalar oracle form ([`execute_lowered`]): operand registers,
+///   swizzles, and write masks decoded per instruction, constant operands
+///   folded to immediates against a resolved constant block;
+/// * the batched executor's op sequence ([`execute_lowered_tile`]): every
+///   operand resolved to rows of a flat lane-row register file, constants
+///   pre-splatted into pool rows, and negation, aliasing and saturation
+///   made explicit ops.
 #[derive(Debug, Clone)]
 pub struct LoweredProgram {
     instrs: Vec<LoweredInstr>,
     tex_count: u64,
+    ops: Vec<Op>,
+    /// Immediate values, one pool row each (from [`POOL_ROW`] on).
+    pool: Vec<f32>,
+    /// Temp/output rows a chunk may read before the program writes them,
+    /// cleared per chunk.
+    zero_rows: Vec<u16>,
+    /// Bitmask of the coordinate sets the program reads.
+    coord_sets: u16,
+    /// Distinct fetch coordinates among the `TEX` ops.
+    fetch_coords: usize,
 }
 
 impl LoweredProgram {
@@ -361,7 +424,6 @@ impl LoweredProgram {
 /// execution is bit-identical to [`execute`].
 pub fn lower(program: &Program, constants: &[[f32; 4]; NUM_CONSTS]) -> LoweredProgram {
     let mut instrs = Vec::with_capacity(program.instrs.len());
-    let mut tex_count = 0u64;
     for instr in &program.instrs {
         let mut srcs = [LoweredSrc::Imm([0.0; 4]); 3];
         for (slot, src) in srcs.iter_mut().zip(&instr.srcs) {
@@ -377,9 +439,6 @@ pub fn lower(program: &Program, constants: &[[f32; 4]; NUM_CONSTS]) -> LoweredPr
                 Reg::Output(o) => LoweredSrc::Out(o, src.swizzle, src.negate),
             };
         }
-        if instr.op == Opcode::Tex {
-            tex_count += 1;
-        }
         instrs.push(LoweredInstr {
             op: instr.op,
             srcs,
@@ -393,7 +452,227 @@ pub fn lower(program: &Program, constants: &[[f32; 4]; NUM_CONSTS]) -> LoweredPr
             sampler: instr.sampler.unwrap_or(0),
         });
     }
-    LoweredProgram { instrs, tex_count }
+    let mut dec = Decoder::new();
+    for instr in &instrs {
+        dec.instr(instr);
+    }
+    LoweredProgram {
+        instrs,
+        tex_count: u64::from(dec.tex_slots),
+        ops: dec.ops,
+        pool: dec.pool,
+        zero_rows: dec.zero_rows,
+        coord_sets: dec.coord_sets,
+        fetch_coords: dec.coords.len(),
+    }
+}
+
+/// Components written by a 4-bit write mask, in lane order.
+fn mask_comps(mask_bits: u8) -> impl Iterator<Item = usize> {
+    (0..4).filter(move |c| mask_bits & (1 << c) != 0)
+}
+
+/// First row of the register a destination names.
+fn dst_base(dst: LoweredDst) -> u16 {
+    match dst {
+        LoweredDst::Temp(r) => TEMP_ROW + 4 * r as u16,
+        LoweredDst::Out(o) => OUT_ROW + 4 * o as u16,
+    }
+}
+
+/// Destination rows for the components a write mask names, and how many.
+fn dst_rows(dst: LoweredDst, mask_bits: u8) -> ([u16; 4], u8) {
+    let mut d = [0u16; 4];
+    let mut n = 0u8;
+    for c in mask_comps(mask_bits) {
+        d[n as usize] = dst_base(dst) + c as u16;
+        n += 1;
+    }
+    (d, n)
+}
+
+/// Builds the batched op sequence of a [`LoweredProgram`].
+struct Decoder {
+    ops: Vec<Op>,
+    pool: Vec<f32>,
+    tex_slots: u16,
+    /// Writes so far per register-file row (pool rows are never written).
+    versions: Vec<u32>,
+    /// Distinct `(u row, v row, u version, v version)` fetch coordinates.
+    coords: Vec<(u16, u16, u32, u32)>,
+    /// Temp/output rows read before any op writes them.
+    zero_rows: Vec<u16>,
+    /// Bitmask of the coordinate sets read.
+    coord_sets: u16,
+}
+
+impl Decoder {
+    fn new() -> Self {
+        Decoder {
+            ops: Vec::new(),
+            pool: Vec::new(),
+            tex_slots: 0,
+            versions: vec![0; POOL_ROW as usize],
+            coords: Vec::new(),
+            zero_rows: Vec::new(),
+            coord_sets: 0,
+        }
+    }
+
+    /// Note a read of register row `row`: a coordinate row marks its set
+    /// as used, and a temp/output row no op has written yet must be
+    /// cleared per chunk, since a scalar fragment starts from zeros. (Rows
+    /// no op ever writes keep the zeros the register file starts with.)
+    fn read(&mut self, row: u16) {
+        if row >= COORD_ROW {
+            self.coord_sets |= 1 << ((row - COORD_ROW) / 4);
+        } else if self.versions[row as usize] == 0 && !self.zero_rows.contains(&row) {
+            self.zero_rows.push(row);
+        }
+    }
+
+    /// Writes so far to `row`; a pool row (an immediate coordinate) is
+    /// never written, so it stays at version 0.
+    fn version(&self, row: u16) -> u32 {
+        self.versions.get(row as usize).copied().unwrap_or(0)
+    }
+
+    /// Append an op, recording that its destination rows change.
+    fn push(&mut self, op: Op) {
+        for &d in &op.d[..op.n as usize] {
+            self.versions[d as usize] += 1;
+        }
+        self.ops.push(op);
+    }
+
+    /// The pool row holding immediate `v` (deduplicated by bit pattern).
+    fn pool_row(&mut self, v: f32) -> u16 {
+        let i = match self.pool.iter().position(|p| p.to_bits() == v.to_bits()) {
+            Some(i) => i,
+            None => {
+                self.pool.push(v);
+                self.pool.len() - 1
+            }
+        };
+        POOL_ROW + i as u16
+    }
+
+    /// The row holding component `pos` of `src` (swizzle applied), and
+    /// whether the read negates.
+    fn row(&mut self, src: &LoweredSrc, pos: usize) -> (u16, bool) {
+        let (base, index, sw, neg) = match *src {
+            LoweredSrc::Imm(v) => return (self.pool_row(v[pos]), false),
+            LoweredSrc::Temp(r, sw, neg) => (TEMP_ROW, r, sw, neg),
+            LoweredSrc::Coord(t, sw, neg) => (COORD_ROW, t, sw, neg),
+            LoweredSrc::Out(o, sw, neg) => (OUT_ROW, o, sw, neg),
+        };
+        let row = base + 4 * index as u16 + sw.0[pos] as u16;
+        self.read(row);
+        (row, neg)
+    }
+
+    /// Rows of operand `i` at positions `pos`; a negated register operand
+    /// is first staged into its [`NEG_ROW`]s by a `Neg` op.
+    fn operand(&mut self, src: &LoweredSrc, i: usize, pos: &[usize]) -> [u16; 4] {
+        let mut rows = [0u16; 4];
+        let mut negate = false;
+        for (k, &p) in pos.iter().enumerate() {
+            let (row, neg) = self.row(src, p);
+            rows[k] = row;
+            negate = neg;
+        }
+        if !negate {
+            return rows;
+        }
+        let staged = std::array::from_fn(|k| NEG_ROW + (4 * i + k) as u16);
+        self.push(Op {
+            kind: OpKind::Neg,
+            n: pos.len() as u8,
+            d: staged,
+            s: [rows, [0; 4], [0; 4]],
+        });
+        staged
+    }
+
+    /// Decode one instruction into its op(s).
+    fn instr(&mut self, instr: &LoweredInstr) {
+        let comps: Vec<usize> = mask_comps(instr.mask_bits).collect();
+        let (d, n) = dst_rows(instr.dst, instr.mask_bits);
+        let mut op = Op {
+            kind: OpKind::Neg,
+            n,
+            d,
+            s: [[0; 4]; 3],
+        };
+        match instr.op {
+            Opcode::Tex => {
+                // A fetch issues (and touches the cache) even when it
+                // writes nothing.
+                op.s[0] = self.operand(&instr.srcs[0], 0, &[0, 1]);
+                let (u, v) = (op.s[0][0], op.s[0][1]);
+                let key = (u, v, self.version(u), self.version(v));
+                let coords = match self.coords.iter().position(|&k| k == key) {
+                    Some(i) => i,
+                    None => {
+                        self.coords.push(key);
+                        self.coords.len() - 1
+                    }
+                } as u16;
+                op.kind = OpKind::Tex {
+                    sampler: instr.sampler,
+                    slot: self.tex_slots,
+                    coords,
+                };
+                self.tex_slots += 1;
+                for (k, &c) in comps.iter().enumerate() {
+                    op.s[1][k] = c as u16;
+                }
+                self.push(op);
+            }
+            _ if n == 0 => return,
+            Opcode::Dp3 | Opcode::Dp4 => {
+                let width = if instr.op == Opcode::Dp3 { 3 } else { 4 };
+                op.kind = OpKind::Dot(width as u8);
+                for i in 0..2 {
+                    op.s[i] = self.operand(&instr.srcs[i], i, &[0, 1, 2, 3][..width]);
+                }
+                self.push(op);
+            }
+            opcode => {
+                op.kind = OpKind::Map(opcode);
+                let arity = opcode.arity();
+                for i in 0..arity {
+                    op.s[i] = self.operand(&instr.srcs[i], i, &comps);
+                }
+                // Rows are written in component order; when a destination
+                // row is a source row of a later component, stage the
+                // results and copy them over afterwards.
+                let n = n as usize;
+                let hazard = (0..n)
+                    .any(|k| (k + 1..n).any(|later| (0..arity).any(|i| op.s[i][later] == op.d[k])));
+                if hazard {
+                    let staged = std::array::from_fn(|k| STAGE_ROW + k as u16);
+                    self.push(Op { d: staged, ..op });
+                    self.push(Op {
+                        kind: OpKind::Map(Opcode::Mov),
+                        n: op.n,
+                        d,
+                        s: [staged, [0; 4], [0; 4]],
+                    });
+                } else {
+                    self.push(op);
+                }
+            }
+        }
+        if instr.saturate && n > 0 {
+            self.push(Op {
+                kind: OpKind::Sat,
+                n,
+                d,
+                s: [[0; 4]; 3],
+            });
+        }
+    }
 }
 
 /// Execute a [`LoweredProgram`] for one fragment. Constants were folded at
@@ -438,348 +717,356 @@ pub fn execute_lowered(
     }
 }
 
-/// Fragments per SoA chunk of [`execute_lowered_batch`]: eight f32 lanes
-/// are one AVX register (and two SSE registers), so the component-major
-/// inner loops below autovectorize on the host SIMD units.
-pub const BATCH_LANES: usize = 8;
+// ---------------------------------------------------------------------------
+// The batched in-place SoA executor
+// ---------------------------------------------------------------------------
 
-/// One structure-of-arrays register component: a value per batch lane.
-type LaneVec = [f32; BATCH_LANES];
+/// Fragments shaded together by [`execute_lowered_tile`]: every register
+/// component of a chunk is one `[f32; BATCH_LANES]` row, so each op's
+/// inner loop is a fixed-length lane loop the host SIMD units vectorize.
+pub const BATCH_LANES: usize = 16;
 
-#[inline(always)]
-fn blanewise1(op: impl Fn(f32) -> f32 + Copy, a: [LaneVec; 4]) -> [LaneVec; 4] {
-    a.map(|comp| comp.map(op))
+/// One register component across a chunk's lanes.
+type Row = [f32; BATCH_LANES];
+
+// Register-file rows of the batched executor: component `c` of register
+// `Ri`/`Oi`/`Ti` lives in row `base + 4 * i + c`, so a swizzle resolves at
+// lower time to four row indices and a write mask to the rows it names.
+const TEMP_ROW: u16 = 0;
+const OUT_ROW: u16 = TEMP_ROW + 4 * NUM_TEMPS as u16;
+const COORD_ROW: u16 = OUT_ROW + 4 * NUM_OUTPUTS as u16;
+/// Staging rows for negated operands: operand `i` of the next op reads
+/// `NEG_ROW + 4 * i + k`.
+const NEG_ROW: u16 = COORD_ROW + 4 * NUM_TEXCOORDS as u16;
+/// Staging rows for an op whose destination aliases a source row a later
+/// component still reads.
+const STAGE_ROW: u16 = NEG_ROW + 12;
+/// First constant-pool row: one pre-splatted row per distinct immediate.
+const POOL_ROW: u16 = STAGE_ROW + 4;
+
+/// What one [`Op`] computes over its `n` destination rows `d[..n]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OpKind {
+    /// A componentwise opcode: `d[k] = f(s[0][k], s[1][k], s[2][k])`, with
+    /// `f` the exact scalar expression of [`alu`].
+    Map(Opcode),
+    /// `d[k] = -s[0][k]`: stages a negated register operand.
+    Neg,
+    /// `d[k] = clamp(d[k], 0, 1)` in place: the `_SAT` modifier.
+    Sat,
+    /// `DP3`/`DP4` over `s[0][..w]` and `s[1][..w]`, broadcast to `d[..n]`.
+    Dot(u8),
+    /// A texel fetch at `(s[0][0], s[0][1])`; texel component `s[1][k]`
+    /// lands in `d[k]`. `slot` is the fetch's index among the program's
+    /// `TEX` instructions (its column in the touch record); `coords`
+    /// numbers its coordinate rows' values: fetches with equal `coords`
+    /// read the same `(u, v)` lanes, so they share one resolution per
+    /// texture size.
+    Tex { sampler: u8, slot: u16, coords: u16 },
+}
+
+/// One pre-decoded op of the batched executor: every operand is already a
+/// row index (swizzle applied, constant splatted into the pool), and the
+/// op writes its rows in place.
+#[derive(Debug, Clone, Copy)]
+struct Op {
+    kind: OpKind,
+    n: u8,
+    d: [u16; 4],
+    s: [[u16; 4]; 3],
 }
 
 #[inline(always)]
-fn blanewise2(
-    op: impl Fn(f32, f32) -> f32 + Copy,
-    a: [LaneVec; 4],
-    b: [LaneVec; 4],
-) -> [LaneVec; 4] {
-    std::array::from_fn(|c| std::array::from_fn(|l| op(a[c][l], b[c][l])))
+fn map1(f: &mut [Row], op: &Op, g: impl Fn(f32) -> f32) {
+    for k in 0..op.n as usize {
+        let a = f[op.s[0][k] as usize];
+        let out = &mut f[op.d[k] as usize];
+        for (o, &x) in out.iter_mut().zip(&a) {
+            *o = g(x);
+        }
+    }
 }
 
-/// The batched arithmetic core: the same match as [`alu`], over
-/// structure-of-arrays operands. Every lane evaluates the exact scalar
-/// expression [`alu`] evaluates (same operators, same association order, no
-/// FMA contraction — Rust never contracts `a * b + c`), so each lane's
-/// result is bit-identical to a scalar execution of the same fragment.
 #[inline(always)]
-fn alu_batch(op: Opcode, s: impl Fn(usize) -> [LaneVec; 4]) -> [LaneVec; 4] {
-    use std::array::from_fn;
-    match op {
-        Opcode::Mov => s(0),
-        Opcode::Add => blanewise2(|a, b| a + b, s(0), s(1)),
-        Opcode::Sub => blanewise2(|a, b| a - b, s(0), s(1)),
-        Opcode::Mul => blanewise2(|a, b| a * b, s(0), s(1)),
-        Opcode::Mad => {
-            let (a, b, c) = (s(0), s(1), s(2));
-            from_fn(|k| from_fn(|l| a[k][l] * b[k][l] + c[k][l]))
+fn map2(f: &mut [Row], op: &Op, g: impl Fn(f32, f32) -> f32) {
+    for k in 0..op.n as usize {
+        let (a, b) = (f[op.s[0][k] as usize], f[op.s[1][k] as usize]);
+        let out = &mut f[op.d[k] as usize];
+        for ((o, &x), &y) in out.iter_mut().zip(&a).zip(&b) {
+            *o = g(x, y);
         }
-        Opcode::Min => blanewise2(f32::min, s(0), s(1)),
-        Opcode::Max => blanewise2(f32::max, s(0), s(1)),
-        Opcode::Rcp => blanewise1(|a| 1.0 / a, s(0)),
-        Opcode::Rsq => blanewise1(|a| 1.0 / a.sqrt(), s(0)),
-        Opcode::Ex2 => blanewise1(f32::exp2, s(0)),
-        Opcode::Lg2 => blanewise1(|a| lg2(a.max(LG2_TINY)), s(0)),
-        Opcode::Frc => blanewise1(|a| a - a.floor(), s(0)),
-        Opcode::Flr => blanewise1(f32::floor, s(0)),
-        Opcode::Abs => blanewise1(f32::abs, s(0)),
-        Opcode::Slt => blanewise2(|a, b| if a < b { 1.0 } else { 0.0 }, s(0), s(1)),
-        Opcode::Sge => blanewise2(|a, b| if a >= b { 1.0 } else { 0.0 }, s(0), s(1)),
-        Opcode::Cmp => {
-            let (c, a, b) = (s(0), s(1), s(2));
-            from_fn(|k| from_fn(|l| if c[k][l] < 0.0 { a[k][l] } else { b[k][l] }))
-        }
-        Opcode::Lrp => {
-            let (t, a, b) = (s(0), s(1), s(2));
-            from_fn(|k| from_fn(|l| t[k][l] * a[k][l] + (1.0 - t[k][l]) * b[k][l]))
-        }
-        Opcode::Dp3 => {
-            let (a, b) = (s(0), s(1));
-            let d: LaneVec = from_fn(|l| a[0][l] * b[0][l] + a[1][l] * b[1][l] + a[2][l] * b[2][l]);
-            [d; 4]
-        }
-        Opcode::Dp4 => {
-            let (a, b) = (s(0), s(1));
-            let d: LaneVec = from_fn(|l| {
-                a[0][l] * b[0][l] + a[1][l] * b[1][l] + a[2][l] * b[2][l] + a[3][l] * b[3][l]
-            });
-            [d; 4]
-        }
-        Opcode::Tex => unreachable!("TEX handled by the batch executor"),
     }
 }
 
-/// Swizzle-then-negate over SoA operands: the swizzle is a pure component
-/// permutation (lane arrays move wholesale), negation is the same unary
-/// `-x` [`swizzle_negate`] applies per scalar lane.
 #[inline(always)]
-fn swizzle_negate_batch(sw: Swizzle, negate: bool, raw: &[LaneVec; 4]) -> [LaneVec; 4] {
-    let v = [
-        raw[sw.0[0] as usize],
-        raw[sw.0[1] as usize],
-        raw[sw.0[2] as usize],
-        raw[sw.0[3] as usize],
-    ];
-    if negate {
-        v.map(|comp| comp.map(|x| -x))
-    } else {
-        v
-    }
-}
-
-impl LoweredSrc {
-    #[inline(always)]
-    fn read_batch(
-        &self,
-        temps: &[[LaneVec; 4]; NUM_TEMPS],
-        outputs: &[[LaneVec; 4]; NUM_OUTPUTS],
-        texcoords: &[[LaneVec; 4]; NUM_TEXCOORDS],
-    ) -> [LaneVec; 4] {
-        match *self {
-            LoweredSrc::Imm(v) => v.map(|c| [c; BATCH_LANES]),
-            LoweredSrc::Temp(r, sw, neg) => swizzle_negate_batch(sw, neg, &temps[r as usize]),
-            LoweredSrc::Coord(t, sw, neg) => swizzle_negate_batch(sw, neg, &texcoords[t as usize]),
-            LoweredSrc::Out(o, sw, neg) => swizzle_negate_batch(sw, neg, &outputs[o as usize]),
-        }
-    }
-}
-
-/// Masked, optionally saturating SoA write-back: the same clamp and the
-/// same per-component write-enable as [`write_back`], applied to whole
-/// lane arrays.
-#[inline(always)]
-fn write_back_batch(target: &mut [LaneVec; 4], value: [LaneVec; 4], mask_bits: u8, saturate: bool) {
-    let value = if saturate {
-        blanewise1(|a| a.clamp(0.0, 1.0), value)
-    } else {
-        value
-    };
-    if mask_bits == 0b1111 {
-        *target = value;
-        return;
-    }
-    for (lane, v) in value.into_iter().enumerate() {
-        if mask_bits & (1 << lane) != 0 {
-            target[lane] = v;
-        }
-    }
-}
-
-/// Execute a [`LoweredProgram`] for a whole batch of fragments at once.
-///
-/// Fragments are processed in [`BATCH_LANES`]-wide structure-of-arrays
-/// chunks: per register component one `[f32; BATCH_LANES]` lane array, so
-/// the per-instruction decode-dispatch cost is paid once per chunk instead
-/// of once per fragment and the inner lane loops autovectorize. `inputs`
-/// must be in the caller's scalar iteration order (the tile's row-major
-/// fragment order); `colors[i]` receives fragment `i`'s output registers.
-///
-/// Bit-exactness contract: colors, the returned `(instructions,
-/// texel_fetches)` totals, and the cache's hit/miss counters are identical
-/// to running [`execute_lowered`] per fragment in `inputs` order against
-/// the same `cache`. Lane arithmetic reuses the scalar expressions (see
-/// [`alu_batch`]), and TEX touches are recorded per (instruction, lane)
-/// during the chunk sweep and replayed into the cache fragment-major — the
-/// exact access sequence the scalar executor would issue.
-pub fn execute_lowered_batch(
-    program: &LoweredProgram,
-    inputs: &[FragmentInput],
-    textures: &[&Texture2D],
-    mut cache: Option<&mut TextureCache>,
-    colors: &mut [[[f32; 4]; NUM_OUTPUTS]],
-) -> (u64, u64) {
-    assert_eq!(inputs.len(), colors.len(), "one color slot per fragment");
-    let tex_slots = program.tex_count as usize;
-    // One resolved touch per (lane, TEX instruction) — lane-major, so the
-    // fragment-major replay scans contiguously — packed as
-    // `(sampler << 48) | (y << 24) | x`; [`NO_TOUCH`] marks border fetches
-    // (no cache traffic) and inactive lanes.
-    let mut touches: Vec<u64> = vec![NO_TOUCH; tex_slots * BATCH_LANES];
-    let mut texel_fetches = 0u64;
-    // Registers a program never names keep their bits from chunk to chunk;
-    // zeroing is only observable (and only required for scalar parity) on
-    // the registers it can actually read.
-    let mut temps_used = 0usize; // zero temps[..temps_used] per chunk
-    let mut coord_sets = 0u16; // bitmask of texcoord sets read
-    for instr in &program.instrs {
-        if let LoweredDst::Temp(r) = instr.dst {
-            temps_used = temps_used.max(r as usize + 1);
-        }
-        for src in &instr.srcs {
-            match *src {
-                LoweredSrc::Temp(r, ..) => temps_used = temps_used.max(r as usize + 1),
-                LoweredSrc::Coord(t, ..) => coord_sets |= 1 << t,
-                _ => {}
-            }
-        }
-    }
-    let mut temps = [[[0.0f32; BATCH_LANES]; 4]; NUM_TEMPS];
-    let mut outputs = [[[0.0f32; BATCH_LANES]; 4]; NUM_OUTPUTS];
-    let mut texcoords = [[[0.0f32; BATCH_LANES]; 4]; NUM_TEXCOORDS];
-    for (inp, cols) in inputs
-        .chunks(BATCH_LANES)
-        .zip(colors.chunks_mut(BATCH_LANES))
-    {
-        let active = inp.len();
-        temps[..temps_used].fill([[0.0; BATCH_LANES]; 4]);
-        outputs.fill([[0.0; BATCH_LANES]; 4]);
-        // Only the sets the program reads are transposed in; lanes past
-        // `active` keep stale bits that no observable path ever reads
-        // (the TEX loop and the color scatter stop at `active`).
-        for (t, soa) in texcoords.iter_mut().enumerate() {
-            if coord_sets & (1 << t) != 0 {
-                for (l, fi) in inp.iter().enumerate() {
-                    for (comp, &x) in soa.iter_mut().zip(&fi.texcoords[t]) {
-                        comp[l] = x;
-                    }
-                }
-            }
-        }
-        if tex_slots > 0 {
-            touches.fill(NO_TOUCH);
-        }
-        shade_chunk(
-            program,
-            textures,
-            &mut temps,
-            &mut outputs,
-            &texcoords,
-            &mut touches,
-            active,
-            cache.is_some(),
+fn map3(f: &mut [Row], op: &Op, g: impl Fn(f32, f32, f32) -> f32) {
+    for k in 0..op.n as usize {
+        let (a, b, c) = (
+            f[op.s[0][k] as usize],
+            f[op.s[1][k] as usize],
+            f[op.s[2][k] as usize],
         );
-        texel_fetches += (tex_slots * active) as u64;
-        if let Some(cache) = cache.as_deref_mut() {
-            replay_touches(cache, &touches, tex_slots, active);
-        }
-        for (l, slot) in cols.iter_mut().enumerate() {
-            for (o, out) in slot.iter_mut().zip(&outputs) {
-                for (c, comp) in o.iter_mut().zip(out) {
-                    *c = comp[l];
-                }
-            }
+        let out = &mut f[op.d[k] as usize];
+        for (l, o) in out.iter_mut().enumerate() {
+            *o = g(a[l], b[l], c[l]);
         }
     }
-    (
-        program.instrs.len() as u64 * inputs.len() as u64,
-        texel_fetches,
-    )
 }
 
-/// Run every instruction of `program` once over one SoA chunk whose
-/// register state the caller prepared (temps/outputs zeroed, texcoords
-/// filled for the sets the program reads, `touches` reset to [`NO_TOUCH`]).
-/// When `record` is set, resolved TEX coordinates are packed into
-/// `touches` lane-major for a later fragment-major cache replay.
+/// `DP3`/`DP4`: the products summed left to right in one expression per
+/// lane, exactly as [`alu`] writes it.
+#[inline(always)]
+fn dot(f: &mut [Row], op: &Op, width: usize) {
+    let [a0, a1, a2, a3] = op.s[0].map(|r| f[r as usize]);
+    let [b0, b1, b2, b3] = op.s[1].map(|r| f[r as usize]);
+    let sum: Row = if width == 3 {
+        std::array::from_fn(|l| a0[l] * b0[l] + a1[l] * b1[l] + a2[l] * b2[l])
+    } else {
+        std::array::from_fn(|l| a0[l] * b0[l] + a1[l] * b1[l] + a2[l] * b2[l] + a3[l] * b3[l])
+    };
+    for &d in &op.d[..op.n as usize] {
+        f[d as usize] = sum;
+    }
+}
+
+/// The `ClampToEdge` texels one chunk's lanes fetch at one `(u, v)` pair
+/// of coordinate rows from a texture of one size.
+#[derive(Debug, Clone, Copy)]
+struct Resolved {
+    /// Row-major texel index per lane.
+    idx: [usize; BATCH_LANES],
+    /// Cache block of the texel per lane.
+    blocks: [Block; BATCH_LANES],
+}
+
+impl Resolved {
+    /// Resolve every lane's coordinates against a `ClampToEdge` texture of
+    /// `width x height`, exactly as the scalar path does (`floor(u * w)`
+    /// as i64, clamped to `[0, w - 1]`, NaN resolving to 0).
+    #[inline(always)]
+    fn clamped(us: &Row, vs: &Row, (width, height): (usize, usize)) -> Self {
+        let (wf, hf) = (width as f32, height as f32);
+        let (xmax, ymax) = ((width - 1) as f32, (height - 1) as f32);
+        let xs: [u32; BATCH_LANES] = std::array::from_fn(|l| clamped_floor(us[l] * wf, xmax));
+        let ys: [u32; BATCH_LANES] = std::array::from_fn(|l| clamped_floor(vs[l] * hf, ymax));
+        Resolved {
+            idx: std::array::from_fn(|l| ys[l] as usize * width + xs[l] as usize),
+            blocks: std::array::from_fn(|l| TextureCache::block(xs[l] as usize, ys[l] as usize)),
+        }
+    }
+}
+
+/// Largest texture side [`clamped_floor`] resolves exactly.
+const CLAMPED_FLOOR_MAX: usize = 1 << 23;
+
+/// `clamp(floor(x), 0, max)` for an integral `max < 2^23`, with NaN
+/// resolving to 0 — the `ClampToEdge` texel coordinate of `x = u * size`
+/// — in float arithmetic only, so lane loops over it vectorize where a
+/// saturating float-to-int cast would not.
+///
+/// Clamping first is exact: `floor` is monotone and `0`, `max` are
+/// integers, so `floor(clamp(x)) = clamp(floor(x))`, and [`fmax`] maps
+/// NaN to `0`. On the clamped `c ∈ [0, max]` (possibly `-0.0`), adding
+/// and subtracting `2^23` rounds to the nearest integer `r` exactly, one
+/// step down where `r > c` gives the floor, and adding `2^23` again puts
+/// that integer in the mantissa bits.
+#[inline(always)]
+fn clamped_floor(x: f32, max: f32) -> u32 {
+    const MAGIC: f32 = 8_388_608.0; // 2^23
+    debug_assert!(max < MAGIC);
+    let c = fmin(fmax(x, 0.0), max);
+    let r = (c + MAGIC) - MAGIC;
+    let floor = if r > c { r - 1.0 } else { r };
+    (floor + MAGIC).to_bits() - MAGIC.to_bits()
+}
+
+/// Per-chunk memo of [`Resolved`] fetches, one entry per distinct fetch
+/// coordinate (`OpKind::Tex::coords`) keyed by texture size: the `TEX`es
+/// of a pass mostly sample same-size textures at a few coordinate sets,
+/// so each (coordinates, size) pair resolves once per chunk instead of
+/// once per fetch.
+struct FetchMemo {
+    sizes: Vec<Option<(usize, usize)>>,
+    resolved: Vec<Resolved>,
+}
+
+impl FetchMemo {
+    fn new(coords: usize) -> Self {
+        let empty = Resolved {
+            idx: [0; BATCH_LANES],
+            blocks: [Block::default(); BATCH_LANES],
+        };
+        FetchMemo {
+            sizes: vec![None; coords],
+            resolved: vec![empty; coords],
+        }
+    }
+
+    /// Forget every resolution (the chunk's coordinates changed).
+    fn clear(&mut self) {
+        self.sizes.fill(None);
+    }
+}
+
+/// A `TEX` over one chunk: resolve each active lane's texel (shared
+/// through `memo` with earlier fetches at the same coordinates), record
+/// the cache line it touches when a cache is modelled, and gather the
+/// texel components into the destination rows.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn shade_chunk(
-    program: &LoweredProgram,
-    textures: &[&Texture2D],
-    temps: &mut [[LaneVec; 4]; NUM_TEMPS],
-    outputs: &mut [[LaneVec; 4]; NUM_OUTPUTS],
-    texcoords: &[[LaneVec; 4]; NUM_TEXCOORDS],
-    touches: &mut [u64],
+fn fetch(
+    f: &mut [Row],
+    op: &Op,
+    tex: &Texture2D,
+    (sampler, slot, coords): (usize, usize, usize),
+    memo: &mut FetchMemo,
+    cache: Option<&TextureCache>,
+    lines: &mut [(usize, u64)],
+    tex_slots: usize,
     active: usize,
-    record: bool,
+) {
+    let size = (tex.width(), tex.height());
+    let (us, vs) = (&f[op.s[0][0] as usize], &f[op.s[0][1] as usize]);
+    let clamped = matches!(tex.address_mode(), AddressMode::ClampToEdge);
+    if clamped && size.0.max(size.1) <= CLAMPED_FLOOR_MAX {
+        // The GPGPU-default mode: every coordinate resolves to a texel.
+        if memo.sizes[coords] != Some(size) {
+            memo.resolved[coords] = Resolved::clamped(us, vs, size);
+            memo.sizes[coords] = Some(size);
+        }
+        let r = &memo.resolved[coords];
+        if let Some(cache) = cache {
+            for (l, &block) in r.blocks[..active].iter().enumerate() {
+                lines[l * tex_slots + slot] = cache.line_of(sampler as u32, block);
+            }
+        }
+        let texels = tex.texels();
+        let mut comps = [[0.0f32; BATCH_LANES]; 4];
+        for (l, &i) in r.idx[..active].iter().enumerate() {
+            let t = texels[i];
+            comps[0][l] = t[0];
+            comps[1][l] = t[1];
+            comps[2][l] = t[2];
+            comps[3][l] = t[3];
+        }
+        for k in 0..op.n as usize {
+            f[op.d[k] as usize] = comps[op.s[1][k] as usize];
+        }
+        return;
+    }
+    // Wrap/mirror/border arithmetic is sensitive to the saturation bound,
+    // so these modes (and absurdly wide textures) keep the scalar path's
+    // full i64 coordinates.
+    let (wf, hf) = (size.0 as f32, size.1 as f32);
+    let mut fetched = [[0.0f32; 4]; BATCH_LANES];
+    for l in 0..active {
+        let x = floor_to_i64(us[l] * wf);
+        let y = floor_to_i64(vs[l] * hf);
+        let resolved = tex.resolve_coords(x, y);
+        if let Some(cache) = cache {
+            lines[l * tex_slots + slot] = resolved.map_or(NO_LINE, |(cx, cy)| {
+                cache.line_of(sampler as u32, TextureCache::block(cx, cy))
+            });
+        }
+        fetched[l] = match resolved {
+            Some((cx, cy)) => tex.texel(cx, cy),
+            None => tex.border_texel(),
+        };
+    }
+    for k in 0..op.n as usize {
+        let comp = op.s[1][k] as usize;
+        let out = &mut f[op.d[k] as usize];
+        for (o, t) in out[..active].iter_mut().zip(&fetched) {
+            *o = t[comp];
+        }
+    }
+}
+
+/// Run every op of `program` once over one chunk whose register file the
+/// caller prepared (zero rows cleared, coordinate rows filled, `memo`
+/// cleared). Every `TEX` writes its column of `lines` for every active
+/// lane when a cache is modelled.
+#[inline(always)]
+fn shade_ops(
+    program: &LoweredProgram,
+    f: &mut [Row],
+    textures: &[&Texture2D],
+    memo: &mut FetchMemo,
+    cache: Option<&TextureCache>,
+    lines: &mut [(usize, u64)],
+    active: usize,
 ) {
     let tex_slots = program.tex_count as usize;
-    let mut tex_slot = 0usize;
-    for instr in &program.instrs {
-        let s = |i: usize| instr.srcs[i].read_batch(temps, outputs, texcoords);
-        let value: [LaneVec; 4] = if instr.op == Opcode::Tex {
-            let sampler = instr.sampler as usize;
-            let tex = textures[sampler];
-            let coord = s(0);
-            let mut fetched = [[0.0f32; BATCH_LANES]; 4];
-            let (wf, hf) = (tex.width() as f32, tex.height() as f32);
-            if let AddressMode::ClampToEdge = tex.address_mode() {
-                // The GPGPU-default mode, hoisted out of the lane loop;
-                // the clamp mirrors `Texture2D`'s own resolution (every
-                // coordinate resolves, never a border). i32 truncation
-                // is exact here: both i32 and i64 saturation points lie
-                // far outside `[0, edge]`, so the clamped texel is the
-                // same one the scalar path's i64 floor resolves to.
-                let xs: [i32; BATCH_LANES] =
-                    std::array::from_fn(|l| floor_to_i32(coord[0][l] * wf));
-                let ys: [i32; BATCH_LANES] =
-                    std::array::from_fn(|l| floor_to_i32(coord[1][l] * hf));
-                let (xmax, ymax) = (tex.width() as i32 - 1, tex.height() as i32 - 1);
-                for l in 0..active {
-                    let cx = xs[l].clamp(0, xmax) as usize;
-                    let cy = ys[l].clamp(0, ymax) as usize;
-                    if record {
-                        touches[l * tex_slots + tex_slot] = pack_touch(sampler as u32, cx, cy);
-                    }
-                    let t = tex.texel(cx, cy);
-                    for (comp, &x) in fetched.iter_mut().zip(&t) {
-                        comp[l] = x;
-                    }
+    for op in &program.ops {
+        match op.kind {
+            OpKind::Map(opcode) => match opcode {
+                Opcode::Mov => map1(f, op, |a| a),
+                Opcode::Add => map2(f, op, |a, b| a + b),
+                Opcode::Sub => map2(f, op, |a, b| a - b),
+                Opcode::Mul => map2(f, op, |a, b| a * b),
+                Opcode::Mad => map3(f, op, |a, b, c| a * b + c),
+                Opcode::Min => map2(f, op, fmin),
+                Opcode::Max => map2(f, op, fmax),
+                Opcode::Rcp => map1(f, op, |a| 1.0 / a),
+                Opcode::Rsq => map1(f, op, |a| 1.0 / a.sqrt()),
+                Opcode::Ex2 => map1(f, op, f32::exp2),
+                Opcode::Lg2 => map1(f, op, lg2_clamped),
+                Opcode::Frc => map1(f, op, |a| a - a.floor()),
+                Opcode::Flr => map1(f, op, f32::floor),
+                Opcode::Abs => map1(f, op, f32::abs),
+                Opcode::Slt => map2(f, op, |a, b| if a < b { 1.0 } else { 0.0 }),
+                Opcode::Sge => map2(f, op, |a, b| if a >= b { 1.0 } else { 0.0 }),
+                Opcode::Cmp => map3(f, op, |c, a, b| if c < 0.0 { a } else { b }),
+                Opcode::Lrp => map3(f, op, |t, a, b| t * a + (1.0 - t) * b),
+                Opcode::Dp3 | Opcode::Dp4 | Opcode::Tex => {
+                    unreachable!("decoded to their own op kinds")
                 }
-            } else {
-                // Wrap/mirror/border arithmetic is sensitive to the
-                // saturation bound, so these modes keep the scalar
-                // path's full i64 coordinates.
-                for l in 0..active {
-                    let x = floor_to_i64(coord[0][l] * wf);
-                    let y = floor_to_i64(coord[1][l] * hf);
-                    let t = match tex.resolve_coords(x, y) {
-                        Some((cx, cy)) => {
-                            if record {
-                                touches[l * tex_slots + tex_slot] =
-                                    pack_touch(sampler as u32, cx, cy);
-                            }
-                            tex.texel(cx, cy)
-                        }
-                        None => tex.border_texel(),
-                    };
-                    for (comp, &x) in fetched.iter_mut().zip(&t) {
-                        comp[l] = x;
+            },
+            OpKind::Neg => map1(f, op, |a| -a),
+            OpKind::Sat => {
+                for &d in &op.d[..op.n as usize] {
+                    for x in f[d as usize].iter_mut() {
+                        *x = x.clamp(0.0, 1.0);
                     }
                 }
             }
-            tex_slot += 1;
-            fetched
-        } else {
-            alu_batch(instr.op, s)
-        };
-        let target = match instr.dst {
-            LoweredDst::Temp(r) => &mut temps[r as usize],
-            LoweredDst::Out(o) => &mut outputs[o as usize],
-        };
-        write_back_batch(target, value, instr.mask_bits, instr.saturate);
+            OpKind::Dot(width) => dot(f, op, width as usize),
+            OpKind::Tex {
+                sampler,
+                slot,
+                coords,
+            } => fetch(
+                f,
+                op,
+                textures[sampler as usize],
+                (sampler as usize, slot as usize, coords as usize),
+                memo,
+                cache,
+                lines,
+                tex_slots,
+                active,
+            ),
+        }
     }
 }
 
-/// Replay a chunk's recorded touches fragment-major (per fragment, TEX
-/// instructions in program order): exactly the sequence the scalar
-/// executor feeds the cache, so hit/miss counts match bit for bit at
-/// every cache geometry.
+/// Replay a chunk's recorded cache lines fragment-major (per fragment, TEX
+/// instructions in program order — the record is lane-major): exactly the
+/// sequence the scalar executor feeds the cache, so hit/miss counts match
+/// bit for bit at every cache geometry.
 #[inline(always)]
-fn replay_touches(cache: &mut TextureCache, touches: &[u64], tex_slots: usize, active: usize) {
-    for l in 0..active {
-        cache.access_all(
-            touches[l * tex_slots..(l + 1) * tex_slots]
-                .iter()
-                .copied()
-                .filter(|&t| t != NO_TOUCH)
-                .map(unpack_touch),
-        );
-    }
+fn replay_lines(cache: &mut TextureCache, lines: &[(usize, u64)]) {
+    cache.access_lines(lines.iter().copied().filter(|&line| line != NO_LINE));
 }
 
-/// Shade one raster tile with [`BATCH_LANES`]-wide SoA chunks, writing
-/// output `O0` straight into the tile's row segments.
+/// Shade one raster tile in [`BATCH_LANES`]-wide chunks, writing output
+/// `O0` straight into the tile's row segments.
 ///
-/// This is the zero-copy fast path of [`execute_lowered_batch`]: instead
-/// of materialising a [`FragmentInput`] per fragment and transposing it
-/// into lane arrays, the affine coordinate-set interpolants are evaluated
-/// directly into the SoA registers — the `v` component and the constant
-/// `[.., .., 0, 1]` tail once per row/tile, the `u` ramp once per chunk —
-/// and `outputs[0]` scatters straight to `rows`. Each row is chunked
+/// The program runs as its pre-decoded op sequence over a flat register
+/// file of lane rows ([`LoweredProgram`]): coordinate-set interpolants are
+/// evaluated straight into their rows — the `v` component once per row,
+/// the `u` ramp once per chunk — every op updates its destination rows in
+/// place, and `O0`'s rows scatter to `rows`. Each row is chunked
 /// independently, so `rows` may have ragged lengths.
 ///
 /// Bit-exactness contract: `rows`, the returned `(instructions,
@@ -788,11 +1075,14 @@ fn replay_touches(cache: &mut TextureCache, touches: &[u64], tex_slots: usize, a
 /// `for (ri, seg) { for ci { execute_lowered(prog, fragment_input(sets,
 /// x0+ci, y0+ri, target_w, target_h), .. ) } }`: the interpolants are
 /// computed with expression-identical arithmetic (`(x + 0.5) / w` then
-/// `u * scale + offset`, never fused), lanes reuse the scalar ALU
-/// expressions, and TEX touches replay fragment-major in row-major
-/// fragment order.
+/// `u * scale + offset`, never fused), lanes evaluate the scalar ALU
+/// expressions, and the cache lines TEX touches are recorded per (lane,
+/// fetch) and replayed fragment-major in row-major fragment order. The one
+/// freedom: an op that meets two NaNs of different bits may return the
+/// other one than the scalar loop does, since the compiler may commute
+/// the operands of `+` and `*` (DESIGN.md §14).
 #[allow(clippy::too_many_arguments)]
-pub fn execute_lowered_batch_tile(
+pub fn execute_lowered_tile(
     program: &LoweredProgram,
     sets: &[crate::raster::TexCoordSet],
     x0: usize,
@@ -804,47 +1094,26 @@ pub fn execute_lowered_batch_tile(
     mut cache: Option<&mut TextureCache>,
 ) -> (u64, u64) {
     let tex_slots = program.tex_count as usize;
-    let mut touches: Vec<u64> = vec![NO_TOUCH; tex_slots * BATCH_LANES];
+    let mut lines = vec![NO_LINE; tex_slots * BATCH_LANES];
     let mut texel_fetches = 0u64;
     let mut fragments = 0u64;
-    let mut temps_used = 0usize;
-    let mut coord_sets = 0u16;
-    for instr in &program.instrs {
-        if let LoweredDst::Temp(r) = instr.dst {
-            temps_used = temps_used.max(r as usize + 1);
-        }
-        for src in &instr.srcs {
-            match *src {
-                LoweredSrc::Temp(r, ..) => temps_used = temps_used.max(r as usize + 1),
-                LoweredSrc::Coord(t, ..) => coord_sets |= 1 << t,
-                _ => {}
-            }
-        }
+    let mut f: Vec<Row> = vec![[0.0; BATCH_LANES]; POOL_ROW as usize + program.pool.len()];
+    let mut memo = FetchMemo::new(program.fetch_coords);
+    for (row, &v) in f[POOL_ROW as usize..].iter_mut().zip(&program.pool) {
+        *row = [v; BATCH_LANES];
     }
-    let mut temps = [[[0.0f32; BATCH_LANES]; 4]; NUM_TEMPS];
-    let mut outputs = [[[0.0f32; BATCH_LANES]; 4]; NUM_OUTPUTS];
-    let mut texcoords = [[[0.0f32; BATCH_LANES]; 4]; NUM_TEXCOORDS];
+    // Coordinate sets interpolate `[u, v, 0, 1]`; sets past `sets.len()`
+    // stay at the `FragmentInput::zero()` default `[0, 0, 0, 1]`.
+    let bound = |t: usize| t < sets.len() && program.coord_sets & (1 << t) != 0;
+    for t in 0..NUM_TEXCOORDS {
+        f[(COORD_ROW as usize) + 4 * t + 3] = [1.0; BATCH_LANES];
+    }
     let (twf, thf) = (target_w as f32, target_h as f32);
-    // Coordinate sets interpolate `[u, v, 0, 1]`: components 2 and 3 are
-    // constant across the tile, and sets past `sets.len()` stay at the
-    // `FragmentInput::zero()` default `[0, 0, 0, 1]` everywhere.
-    for (t, soa) in texcoords.iter_mut().enumerate() {
-        if coord_sets & (1 << t) != 0 {
-            *soa = [
-                [0.0; BATCH_LANES],
-                [0.0; BATCH_LANES],
-                [0.0; BATCH_LANES],
-                [1.0; BATCH_LANES],
-            ];
-        }
-    }
     for (ri, seg) in rows.iter_mut().enumerate() {
-        let y = y0 + ri;
-        let v = (y as f32 + 0.5) / thf;
-        // The `v` component of every bound set is constant along the row.
+        let v = ((y0 + ri) as f32 + 0.5) / thf;
         for (t, set) in sets.iter().enumerate() {
-            if coord_sets & (1 << t) != 0 {
-                texcoords[t][1] = [v * set.scale[1] + set.offset[1]; BATCH_LANES];
+            if bound(t) {
+                f[COORD_ROW as usize + 4 * t + 1] = [v * set.scale[1] + set.offset[1]; BATCH_LANES];
             }
         }
         let width = seg.len();
@@ -853,35 +1122,33 @@ pub fn execute_lowered_batch_tile(
             let active = (width - ci).min(BATCH_LANES);
             // The `u` ramp for this chunk (lanes past `active` compute
             // coordinates no observable path reads).
-            let us: LaneVec = std::array::from_fn(|l| ((x0 + ci + l) as f32 + 0.5) / twf);
+            let us: Row = std::array::from_fn(|l| ((x0 + ci + l) as f32 + 0.5) / twf);
             for (t, set) in sets.iter().enumerate() {
-                if coord_sets & (1 << t) != 0 {
+                if bound(t) {
                     let (s0, o0) = (set.scale[0], set.offset[0]);
-                    texcoords[t][0] = us.map(|u| u * s0 + o0);
+                    f[COORD_ROW as usize + 4 * t] = us.map(|u| u * s0 + o0);
                 }
             }
-            temps[..temps_used].fill([[0.0; BATCH_LANES]; 4]);
-            outputs.fill([[0.0; BATCH_LANES]; 4]);
-            if tex_slots > 0 {
-                touches.fill(NO_TOUCH);
+            for &r in &program.zero_rows {
+                f[r as usize] = [0.0; BATCH_LANES];
             }
-            shade_chunk(
+            memo.clear();
+            shade_ops(
                 program,
+                &mut f,
                 textures,
-                &mut temps,
-                &mut outputs,
-                &texcoords,
-                &mut touches,
+                &mut memo,
+                cache.as_deref(),
+                &mut lines,
                 active,
-                cache.is_some(),
             );
             texel_fetches += (tex_slots * active) as u64;
             if let Some(cache) = cache.as_deref_mut() {
-                replay_touches(cache, &touches, tex_slots, active);
+                replay_lines(cache, &lines[..tex_slots * active]);
             }
-            let o0 = &outputs[0];
+            let o = OUT_ROW as usize;
             for l in 0..active {
-                seg[ci + l] = [o0[0][l], o0[1][l], o0[2][l], o0[3][l]];
+                seg[ci + l] = [f[o][l], f[o + 1][l], f[o + 2][l], f[o + 3][l]];
             }
             fragments += active as u64;
             ci += active;
@@ -902,34 +1169,9 @@ fn floor_to_i64(v: f32) -> i64 {
     t.saturating_sub(i64::from(t as f32 > v))
 }
 
-/// [`floor_to_i64`] truncated to i32 (vectorizable `cvttps2dq` path). Only
-/// valid where the caller clamps the result to a range both widths
-/// saturate outside of, e.g. `ClampToEdge`'s `[0, size-1]`.
-#[inline(always)]
-fn floor_to_i32(v: f32) -> i32 {
-    let t = v as i32;
-    t.saturating_sub(i32::from(t as f32 > v))
-}
-
-/// Sentinel for a (TEX, lane) slot that generated no cache traffic.
-const NO_TOUCH: u64 = u64::MAX;
-
-/// Pack a resolved cache touch into one word (24 bits per coordinate —
-/// far beyond any allocatable texture edge — and the sampler on top).
-#[inline(always)]
-fn pack_touch(sampler: u32, x: usize, y: usize) -> u64 {
-    debug_assert!(x < (1 << 24) && y < (1 << 24) && sampler < (1 << 16));
-    ((sampler as u64) << 48) | ((y as u64) << 24) | x as u64
-}
-
-#[inline(always)]
-fn unpack_touch(t: u64) -> (u32, usize, usize) {
-    (
-        (t >> 48) as u32,
-        (t & 0xff_ffff) as usize,
-        ((t >> 24) & 0xff_ffff) as usize,
-    )
-}
+/// A (TEX, lane) record slot that generated no cache traffic: a border
+/// fetch or an inactive lane (no real line has an all-ones tag).
+const NO_LINE: (usize, u64) = (0, u64::MAX);
 
 /// Merge a program's `DEF` constants into a pass-level constant block.
 pub fn resolve_constants(
@@ -1165,10 +1407,80 @@ mod tests {
         assert_eq!((ca.hits(), ca.misses()), (cb.hits(), cb.misses()));
     }
 
+    /// Whether the two executors' results agree: bit for bit, except that
+    /// where an input held a NaN any NaN matches any NaN. Where an
+    /// operation meets two NaNs the hardware returns one of them by
+    /// operand position, and Rust leaves which one unspecified (the
+    /// compiler may commute the operands of `+` and `*`), so two
+    /// separately compiled executors need not pick the same one.
+    fn same_bits(a: f32, b: f32, nan_inputs: bool) -> bool {
+        a.to_bits() == b.to_bits() || (nan_inputs && a.is_nan() && b.is_nan())
+    }
+
+    /// Shade a `width x rows` tile at `(x0, y0)` of a `tw x th` target
+    /// both ways — the scalar `fragment_input` + [`execute_lowered`] row
+    /// loop and [`execute_lowered_tile`] — and assert colors (as bits, see
+    /// [`same_bits`]), counters and cache traffic agree. Returns the
+    /// shaded colors.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_tile_matches_scalar(
+        lowered: &LoweredProgram,
+        sets: &[crate::raster::TexCoordSet],
+        (x0, y0): (usize, usize),
+        (tw, th): (usize, usize),
+        (width, rows): (usize, usize),
+        textures: &[&Texture2D],
+        cache: impl Fn() -> TextureCache,
+    ) -> Vec<[f32; 4]> {
+        use crate::raster::fragment_input;
+        let mut scalar_cache = cache();
+        let mut scalar_out = vec![[0.0f32; 4]; width * rows];
+        let (mut scalar_instr, mut scalar_fetches) = (0u64, 0u64);
+        for ri in 0..rows {
+            for ci in 0..width {
+                let fi = fragment_input(sets, x0 + ci, y0 + ri, tw, th);
+                let r = execute_lowered(lowered, &fi, textures, Some(&mut scalar_cache));
+                scalar_instr += r.instructions;
+                scalar_fetches += r.texel_fetches;
+                scalar_out[ri * width + ci] = r.colors[0];
+            }
+        }
+        let mut tile_out = vec![[0.0f32; 4]; width * rows];
+        let mut segs: Vec<&mut [[f32; 4]]> = tile_out.chunks_mut(width).collect();
+        let mut tile_cache = cache();
+        let counts = execute_lowered_tile(
+            lowered,
+            sets,
+            x0,
+            y0,
+            tw,
+            th,
+            &mut segs,
+            textures,
+            Some(&mut tile_cache),
+        );
+        let nan_inputs = textures
+            .iter()
+            .any(|t| t.texels().iter().flatten().any(|v| v.is_nan()));
+        for (i, (a, b)) in scalar_out.iter().zip(&tile_out).enumerate() {
+            assert!(
+                (0..4).all(|c| same_bits(a[c], b[c], nan_inputs)),
+                "fragment {i}: scalar {a:?} != tile {b:?}"
+            );
+        }
+        assert_eq!(counts, (scalar_instr, scalar_fetches));
+        assert_eq!(
+            (tile_cache.hits(), tile_cache.misses()),
+            (scalar_cache.hits(), scalar_cache.misses())
+        );
+        tile_out
+    }
+
     #[test]
-    fn batched_execution_matches_scalar_over_ragged_batch() {
-        // 11 fragments = one full 8-lane chunk plus a ragged 3-lane tail,
-        // over a program mixing TEX, MAD masks, LRP, saturation and DP4.
+    fn batched_execution_matches_scalar_over_ragged_chunks() {
+        // One full chunk plus a ragged tail per row, over a program mixing
+        // TEX, MAD masks, LRP, saturation and DP4.
+        use crate::raster::TexCoordSet;
         let mut tex = Texture2D::new(4, 4);
         for y in 0..4 {
             for x in 0..4 {
@@ -1184,42 +1496,15 @@ mod tests {
         .unwrap();
         let constants = resolve_constants(&p, &[(1, [0.5, 0.5, 0.0, 1.0])]);
         let lowered = lower(&p, &constants);
-        let inputs: Vec<FragmentInput> = (0..11)
-            .map(|i| {
-                let mut fi = FragmentInput::zero();
-                fi.texcoords[0] = [i as f32 * 0.09, 1.0 - i as f32 * 0.07, 0.0, 1.0];
-                fi
-            })
-            .collect();
-        let mut scalar_cache = TextureCache::new(16, 2);
-        let mut batch_cache = TextureCache::new(16, 2);
-        let mut scalar_instr = 0u64;
-        let mut scalar_fetches = 0u64;
-        let scalar: Vec<_> = inputs
-            .iter()
-            .map(|fi| {
-                let r = execute_lowered(&lowered, fi, &[&tex], Some(&mut scalar_cache));
-                scalar_instr += r.instructions;
-                scalar_fetches += r.texel_fetches;
-                r.colors
-            })
-            .collect();
-        let mut colors = vec![[[0.0f32; 4]; NUM_OUTPUTS]; inputs.len()];
-        let (instr, fetches) = execute_lowered_batch(
+        let width = BATCH_LANES + 3;
+        assert_tile_matches_scalar(
             &lowered,
-            &inputs,
+            &[TexCoordSet::identity()],
+            (0, 0),
+            (width, 2),
+            (width, 2),
             &[&tex],
-            Some(&mut batch_cache),
-            &mut colors,
-        );
-        for (a, b) in scalar.iter().zip(&colors) {
-            let bits = |c: &[[f32; 4]; NUM_OUTPUTS]| c.map(|v| v.map(f32::to_bits));
-            assert_eq!(bits(a), bits(b));
-        }
-        assert_eq!((instr, fetches), (scalar_instr, scalar_fetches));
-        assert_eq!(
-            (batch_cache.hits(), batch_cache.misses()),
-            (scalar_cache.hits(), scalar_cache.misses())
+            || TextureCache::new(16, 2),
         );
     }
 
@@ -1229,52 +1514,55 @@ mod tests {
         // 1-way cache: instruction-major accesses would turn the scalar
         // all-miss A,B,A,B... sequence into runs of hits, so equality here
         // proves the batch path replays touches fragment-major.
+        use crate::raster::TexCoordSet;
         let ta = Texture2D::new(4, 4);
         let tb = Texture2D::new(4, 4);
         let p = assemble("TEX R0, T0, tex0\nTEX R1, T0, tex1\nADD OC, R0, R1").unwrap();
         let constants = resolve_constants(&p, &[]);
         let lowered = lower(&p, &constants);
-        let inputs = vec![FragmentInput::zero(); 8];
+        // Every fragment samples texel (0, 0).
+        let corner = TexCoordSet {
+            scale: [0.0, 0.0],
+            offset: [0.0, 0.0],
+        };
         let mut scalar_cache = TextureCache::new(1, 1);
-        let mut batch_cache = TextureCache::new(1, 1);
-        for fi in &inputs {
-            execute_lowered(&lowered, fi, &[&ta, &tb], Some(&mut scalar_cache));
+        for _ in 0..8 {
+            let mut fi = FragmentInput::zero();
+            fi.texcoords[0] = [0.0, 0.0, 0.0, 1.0];
+            execute_lowered(&lowered, &fi, &[&ta, &tb], Some(&mut scalar_cache));
         }
-        let mut colors = vec![[[0.0f32; 4]; NUM_OUTPUTS]; inputs.len()];
-        execute_lowered_batch(
-            &lowered,
-            &inputs,
-            &[&ta, &tb],
-            Some(&mut batch_cache),
-            &mut colors,
-        );
         assert_eq!(scalar_cache.hits(), 0, "scalar sequence must thrash");
-        assert_eq!(
-            (batch_cache.hits(), batch_cache.misses()),
-            (scalar_cache.hits(), scalar_cache.misses())
+        assert_tile_matches_scalar(
+            &lowered,
+            &[corner],
+            (0, 0),
+            (8, 1),
+            (8, 1),
+            &[&ta, &tb],
+            || TextureCache::new(1, 1),
         );
     }
 
     #[test]
     fn batch_tile_matches_scalar_row_loop_bit_for_bit() {
-        // A ragged 13-wide, 3-row tile (chunks of 8 + 5 per row) with an
+        // A ragged tile (a full chunk plus 5 lanes per row, 3 rows) with an
         // offset origin, two coordinate sets (one neighbour-shifted so
         // fetches clamp at the border) and a program exercising TEX from
         // both sets, LG2 and saturation. The tile path must reproduce the
         // scalar `fragment_input` + `execute_lowered` loop exactly —
         // colors, counters and cache traffic.
-        use crate::raster::{fragment_input, TexCoordSet};
-        let (tw, th) = (20, 9);
-        let mut tex = Texture2D::new(20, 9);
-        for y in 0..9 {
-            for x in 0..20 {
-                let v = (y * 20 + x) as f32 * 0.011 + 0.125;
+        use crate::raster::TexCoordSet;
+        let (tw, th) = (BATCH_LANES + 12, 9);
+        let mut tex = Texture2D::new(tw, th);
+        for y in 0..th {
+            for x in 0..tw {
+                let v = (y * tw + x) as f32 * 0.011 + 0.125;
                 tex.set_texel(x, y, [v, 1.0 - v, v * v, 1.0]);
             }
         }
         let sets = [
             TexCoordSet::identity(),
-            TexCoordSet::shifted_texels(2, -1, 20, 9),
+            TexCoordSet::shifted_texels(2, -1, tw, th),
         ];
         let p = assemble(
             "DEF C0, 0.5, 2, -1, 1\n\
@@ -1284,41 +1572,151 @@ mod tests {
         .unwrap();
         let constants = resolve_constants(&p, &[]);
         let lowered = lower(&p, &constants);
-        let (x0, y0, width, rows) = (5usize, 3usize, 13usize, 3usize);
-        let mut scalar_cache = TextureCache::new(4, 2);
-        let mut scalar_out = vec![[0.0f32; 4]; width * rows];
-        let mut scalar_instr = 0u64;
-        let mut scalar_fetches = 0u64;
-        for ri in 0..rows {
-            for ci in 0..width {
-                let fi = fragment_input(&sets, x0 + ci, y0 + ri, tw, th);
-                let r = execute_lowered(&lowered, &fi, &[&tex], Some(&mut scalar_cache));
-                scalar_instr += r.instructions;
-                scalar_fetches += r.texel_fetches;
-                scalar_out[ri * width + ci] = r.colors[0];
-            }
-        }
-        let mut tile_out = vec![[0.0f32; 4]; width * rows];
-        let mut segs: Vec<&mut [[f32; 4]]> = tile_out.chunks_mut(width).collect();
-        let mut tile_cache = TextureCache::new(4, 2);
-        let (instr, fetches) = execute_lowered_batch_tile(
+        assert_tile_matches_scalar(
             &lowered,
             &sets,
-            x0,
-            y0,
-            tw,
-            th,
-            &mut segs,
+            (5, 3),
+            (tw, th),
+            (BATCH_LANES + 5, 3),
             &[&tex],
-            Some(&mut tile_cache),
+            || TextureCache::new(4, 2),
         );
-        let bits = |v: &[[f32; 4]]| v.iter().map(|t| t.map(f32::to_bits)).collect::<Vec<_>>();
-        assert_eq!(bits(&scalar_out), bits(&tile_out));
-        assert_eq!((instr, fetches), (scalar_instr, scalar_fetches));
-        assert_eq!(
-            (tile_cache.hits(), tile_cache.misses()),
-            (scalar_cache.hits(), scalar_cache.misses())
-        );
+    }
+
+    /// IEEE special cases plus ordinary values of both signs.
+    const SPECIALS: [f32; 16] = [
+        f32::NAN,
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MIN_POSITIVE,
+        -f32::MIN_POSITIVE,
+        1.0e-40, // subnormal
+        -1.0e-40,
+        1.0,
+        -1.0,
+        0.5,
+        -2.75,
+        1.0e-12,
+        f32::MAX,
+        f32::MIN,
+    ];
+
+    #[test]
+    fn max_min_and_lg2_helpers_pin_the_std_bits() {
+        use std::hint::black_box;
+        // The special grid in both operand orders, plus random bit
+        // patterns (xorshift), including NaN payloads of both signs.
+        let mut pairs: Vec<(f32, f32)> = Vec::new();
+        let extra = [f32::from_bits(0x7fc0_0001), f32::from_bits(0xff80_0001)];
+        for &a in SPECIALS.iter().chain(&extra) {
+            for &b in SPECIALS.iter().chain(&extra) {
+                pairs.push((a, b));
+            }
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as u32
+        };
+        for _ in 0..100_000 {
+            pairs.push((f32::from_bits(next()), f32::from_bits(next())));
+        }
+        let bits = |v: f32| v.to_bits();
+        for (a, b) in pairs {
+            let (x, y) = (black_box(a), black_box(b));
+            assert_eq!(bits(fmax(a, b)), bits(x.max(y)), "fmax({a:?}, {b:?})");
+            assert_eq!(bits(fmin(a, b)), bits(x.min(y)), "fmin({a:?}, {b:?})");
+            assert_eq!(
+                bits(lg2_clamped(a)),
+                bits(lg2(x.max(f32::MIN_POSITIVE))),
+                "lg2_clamped({a:?})"
+            );
+            // The scalar ALU goes through the same helpers.
+            let (va, vb) = ([a, b, b, a], [b, a, a, b]);
+            let operands = |i: usize| [va, vb][i];
+            let want_max = [fmax(a, b), fmax(b, a), fmax(b, a), fmax(a, b)];
+            let want_min = [fmin(a, b), fmin(b, a), fmin(b, a), fmin(a, b)];
+            assert_eq!(alu(Opcode::Max, operands).map(bits), want_max.map(bits));
+            assert_eq!(alu(Opcode::Min, operands).map(bits), want_min.map(bits));
+            assert_eq!(
+                alu(Opcode::Lg2, operands).map(bits),
+                va.map(|v| bits(lg2_clamped(v)))
+            );
+        }
+    }
+
+    #[test]
+    fn every_opcode_matches_scalar_on_special_values() {
+        // Each ALU opcode over operand triples drawn from the special grid
+        // (three coordinate sets shift the same texture differently, so
+        // lanes pair different specials), tile vs scalar bit for bit: once
+        // with the grid's NaN replaced by a finite value, so every bit
+        // (NaNs made from infinities and zeros included) must match, and
+        // once with it, where only which NaN may differ.
+        use crate::raster::TexCoordSet;
+        let n = SPECIALS.len();
+        let texture = |nan: f32| {
+            let mut tex = Texture2D::new(n, n);
+            for y in 0..n {
+                for x in 0..n {
+                    let k = |i: usize| match SPECIALS[(x + 3 * y + 5 * i) % n] {
+                        v if v.is_nan() => nan,
+                        v => v,
+                    };
+                    tex.set_texel(x, y, [k(0), k(1), k(2), k(3)]);
+                }
+            }
+            tex
+        };
+        let sets = [
+            TexCoordSet::identity(),
+            TexCoordSet::shifted_texels(5, 1, n, n),
+            TexCoordSet::shifted_texels(-3, 7, n, n),
+        ];
+        for op in [
+            "MOV R3, R0",
+            "ADD R3, R0, R1",
+            "SUB R3, R0, -R1",
+            "MUL R3, R0, R1",
+            "MAD R3, R0, R1, R2",
+            "MIN R3, R0, R1",
+            "MAX R3, R0, R1.wzyx",
+            "RCP R3, R0",
+            "RSQ R3, R0",
+            "EX2 R3, R0",
+            "LG2 R3, R0",
+            "FRC R3, R0",
+            "FLR R3, R0",
+            "ABS R3, -R0",
+            "SLT R3, R0, R1",
+            "SGE R3, R0, R1",
+            "CMP R3, R0, R1, R2",
+            "LRP R3, R0, R1, R2",
+            "DP3 R3, R0, R1",
+            "DP4 R3, R0, R1",
+            "MAX_SAT R3, R0, R1",
+        ] {
+            let p = assemble(&format!(
+                "TEX R0, T0, tex0\nTEX R1, T1, tex0\nTEX R2, T2, tex0\n{op}\nMOV OC, R3"
+            ))
+            .unwrap();
+            let lowered = lower(&p, &resolve_constants(&p, &[]));
+            for tex in [texture(3.5), texture(f32::NAN)] {
+                assert_tile_matches_scalar(
+                    &lowered,
+                    &sets,
+                    (0, 0),
+                    (n, n),
+                    (n, n),
+                    &[&tex],
+                    || TextureCache::new(4, 2),
+                );
+            }
+        }
     }
 
     #[test]

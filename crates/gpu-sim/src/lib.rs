@@ -49,6 +49,6 @@ pub use counters::{PassStats, TileCounts};
 pub use device::{CpuProfile, GpuProfile};
 pub use error::GpuError;
 pub use gpu::{Gpu, TextureId};
-pub use opt::{optimize, schedule_for_batch, OptCounters, OptReport};
+pub use opt::{optimize, OptCounters, OptReport};
 pub use stream::Stream;
 pub use verify::{verify, DiagKind, Diagnostic, PassBindings, Severity};

@@ -19,6 +19,14 @@ pub const BLOCK_H: usize = 4;
 /// Bytes per block (RGBA32F texels).
 pub const BLOCK_BYTES: usize = BLOCK_W * BLOCK_H * 16;
 
+/// The part of a fetch's cache line that depends only on its texel's
+/// block ([`TextureCache::block`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Block {
+    tag: u64,
+    hash: u64,
+}
+
 /// A set-associative texture cache with LRU replacement.
 ///
 /// Each set's ways are kept ordered most- to least-recently used, so LRU
@@ -63,49 +71,85 @@ impl TextureCache {
         self.sets * self.ways * BLOCK_BYTES / 4
     }
 
+    /// The texture-independent part of a fetch of texel `(x, y)`: its
+    /// block's tag bits and set hash. [`TextureCache::line_of`] adds the
+    /// texture, so fetches of many textures at one coordinate share it.
+    #[inline(always)]
+    pub(crate) fn block(x: usize, y: usize) -> Block {
+        let bx = (x / BLOCK_W) as u64;
+        let by = (y / BLOCK_H) as u64;
+        Block {
+            tag: (by << 20) | bx,
+            // Simple XOR index so adjacent blocks of different textures
+            // spread.
+            hash: bx ^ by.wrapping_mul(7),
+        }
+    }
+
+    /// The cache line a fetch of `block` from texture `texture` maps to:
+    /// its set index and its tag.
+    #[inline(always)]
+    pub(crate) fn line_of(&self, texture: u32, block: Block) -> (usize, u64) {
+        let texture = texture as u64;
+        let set = ((block.hash ^ texture.wrapping_mul(13)) as usize) & (self.sets - 1);
+        (set, (texture << 40) | block.tag)
+    }
+
     /// Record a fetch of texel `(x, y)` from texture `texture`; returns
     /// `true` on hit.
     #[inline]
     pub fn access(&mut self, texture: u32, x: usize, y: usize) -> bool {
-        let bx = (x / BLOCK_W) as u64;
-        let by = (y / BLOCK_H) as u64;
-        let tag = ((texture as u64) << 40) | (by << 20) | bx;
-        // Simple XOR index so adjacent blocks of different textures spread.
-        let set = ((bx ^ by.wrapping_mul(7) ^ (texture as u64).wrapping_mul(13)) as usize)
-            & (self.sets - 1);
+        let (set, tag) = self.line_of(texture, Self::block(x, y));
+        let hit = self.touch(set, tag);
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
+    }
+
+    /// Replay an ordered sequence of fetches, each given by its
+    /// [`TextureCache::line_of`] — equivalent to calling
+    /// [`TextureCache::access`] once per fetch in iteration order. The
+    /// batched fragment executor resolves lines per lane while it shades
+    /// and replays them through this in the scalar executor's
+    /// fragment-major order, so hit/miss counters stay bit-identical
+    /// between the two paths.
+    pub(crate) fn access_lines<I: IntoIterator<Item = (usize, u64)>>(&mut self, lines: I) {
+        let (mut hits, mut misses) = (0u64, 0u64);
+        for (set, tag) in lines {
+            if self.touch(set, tag) {
+                hits += 1;
+            } else {
+                misses += 1;
+            }
+        }
+        self.hits += hits;
+        self.misses += misses;
+    }
+
+    /// The LRU update of one fetch of `tag` in `set`; `true` on hit.
+    #[inline(always)]
+    fn touch(&mut self, set: usize, tag: u64) -> bool {
         let base = set * self.ways;
         let lines = &mut self.tags[base..base + self.ways];
         // MRU fast path: the raster scan mostly re-touches the block it
         // touched last in this set.
         if lines[0] == tag {
-            self.hits += 1;
             return true;
         }
         if let Some(w) = lines[1..].iter().position(|&t| t == tag) {
             // Hit in a colder way: promote to MRU (the rotate carries the
             // matching tag, at `lines[w + 1]`, to the front).
             lines[..w + 2].rotate_right(1);
-            self.hits += 1;
             return true;
         }
         // Miss: the last way is the LRU line; shift everything down and
         // fill the front.
         lines.rotate_right(1);
         lines[0] = tag;
-        self.misses += 1;
         false
-    }
-
-    /// Replay an ordered sequence of resolved texel touches — equivalent
-    /// to calling [`TextureCache::access`] once per `(texture, x, y)` item
-    /// in iteration order. The batched fragment executor records touches
-    /// instruction-major and replays them through this in the scalar
-    /// executor's fragment-major order, so hit/miss counters stay
-    /// bit-identical between the two paths.
-    pub fn access_all<I: IntoIterator<Item = (u32, usize, usize)>>(&mut self, touches: I) {
-        for (texture, x, y) in touches {
-            self.access(texture, x, y);
-        }
     }
 
     /// Hits recorded so far.
@@ -195,11 +239,11 @@ mod tests {
     }
 
     #[test]
-    fn access_all_matches_individual_accesses() {
+    fn access_lines_matches_individual_accesses() {
         let touches = [(0u32, 0usize, 0usize), (1, 4, 0), (0, 1, 1), (2, 8, 8)];
         let mut a = TextureCache::new(1, 2);
         let mut b = TextureCache::new(1, 2);
-        a.access_all(touches);
+        a.access_lines(touches.map(|(t, x, y)| a.line_of(t, TextureCache::block(x, y))));
         for (t, x, y) in touches {
             b.access(t, x, y);
         }
